@@ -71,10 +71,13 @@ def layer_functions(package) -> dict[int, tuple[object, str]]:
 
 
 class Tracer:
-    """Install with ``with Tracer(package, top_models):``; read ``stats``."""
+    """Install with ``with Tracer(package, top_models):``; read ``stats``.
 
-    def __init__(self, package, top_models=()):
+    ``clock`` is the zero-argument timer the spans read."""
+
+    def __init__(self, package, top_models=(), clock=time.perf_counter):
         self.package = package
+        self.clock = clock
         self.top_ids = {id(m) for m in top_models}
         self.stats: dict[str, SpanStat] = {}
         self._stack: list[float] = []
@@ -95,7 +98,7 @@ class Tracer:
         """Wrap ``fn`` to record one span per call under ``name``."""
         stack = self._stack
         record = self._record
-        clock = time.perf_counter
+        clock = self.clock
         rows_of = ROWS.get(name)
         split = name in SPLIT_BY_MODEL
         top_ids = self.top_ids

@@ -1,7 +1,7 @@
 import inspect
-import time
 
 import numpy as np
+import pytest
 
 import vflkit
 from spans import Tracer, layer_functions, vflkit_modules
@@ -40,13 +40,19 @@ def test_no_alias_missed_and_originals_restored():
 
 
 def test_self_time_excludes_children():
-    tracer = Tracer(vflkit)
-    inner = tracer.wrap(lambda: time.sleep(0.06), "inner")
-    outer = tracer.wrap(lambda: (time.sleep(0.03), inner()), "outer")
+    now = [0.0]
+
+    def advance(seconds):
+        now[0] += seconds
+
+    tracer = Tracer(vflkit, clock=lambda: now[0])
+    inner = tracer.wrap(lambda: advance(0.06), "inner")
+    outer = tracer.wrap(lambda: (advance(0.03), inner(), advance(0.01)),
+                        "outer")
     outer()
     assert tracer.stats["inner"].calls == tracer.stats["outer"].calls == 1
-    assert 0.06 <= tracer.stats["inner"].self_s < 0.09
-    assert 0.03 <= tracer.stats["outer"].self_s < 0.055
+    assert tracer.stats["inner"].self_s == pytest.approx(0.06)
+    assert tracer.stats["outer"].self_s == pytest.approx(0.04)
 
 
 def test_forward_split_by_model_identity_and_rows():

@@ -6,7 +6,9 @@ can take the median set-up time of several fresh processes. The ``attack``
 role then repeats the workload's fixed-size attack on the same inputs as
 often as fits in ``--seconds``, checks the first outputs, and requires every
 repeat (and, with ``--trace 1``, every traced repeat) to give the same
-digest. It prints one JSON object on its last line of standard output.
+digest. Untraced repeats are timed under ``speed.SpeedMeter``, which reports
+their wall time and that time corrected for the host's speed. It prints one
+JSON object on its last line of standard output.
 
 Only the standard library is imported before ``vflkit``, so that
 ``import_s`` covers numpy and scipy as a user of the package pays them.
@@ -42,16 +44,18 @@ def _parse(argv):
     return p.parse_args(argv)
 
 
-def _repeat(unit, seconds: float):
-    """Run ``unit`` as often as fits in ``seconds``, at least once, judging
-    the next repeat by the last; returns the durations and results."""
+def _repeat(timed_unit, seconds: float):
+    """Run ``timed_unit`` as often as fits in ``seconds``, at least once,
+    judging the next repeat by the last. ``timed_unit`` returns its own
+    measured time and its result; returns the times and the results."""
     times, results = [], []
     deadline = clock() + seconds
     while True:
-        t = clock()
-        results.append(unit())
-        times.append(clock() - t)
-        if clock() + times[-1] > deadline:
+        start = clock()
+        took, result = timed_unit()
+        times.append(took)
+        results.append(result)
+        if 2 * clock() - start > deadline:
             return times, results
 
 
@@ -113,10 +117,19 @@ def main(argv=None) -> int:
     def unit():
         return workloads.attack(prep)
 
+    from speed import SpeedMeter
+    meter = SpeedMeter(workloads.SPEED_KERNEL[args.workload])
+    raw_times = []
+
+    def metered_unit():
+        scaled, raw, out = meter.time(unit)
+        raw_times.append(raw)
+        return scaled, out
+
     seconds = args.seconds / 2 if args.trace else args.seconds
     t = clock()
     try:
-        times, outcomes = _repeat(unit, seconds)
+        times, outcomes = _repeat(metered_unit, seconds)
     except Exception as exc:  # reported as a failed attack, not a crash
         traceback.print_exc()
         doc.update({"attack_s": clock() - t, "attempted": len(prep.rows),
@@ -133,7 +146,8 @@ def main(argv=None) -> int:
 
     doc.update({
         "digest": digests[0], "repeats": len(times), "attack_s": median(times),
-        "attack_times": times, "attempted": verdict.attempted,
+        "attack_times": times, "attack_raw_s": median(raw_times),
+        "attack_raw_times": raw_times, "attempted": verdict.attempted,
         "failed": verdict.failed,
         "adis": {str(k): v for k, v in verdict.adis.items()},
         "raw_hits": len(outcome.candidates), "mutations": outcome.mutations,
@@ -147,9 +161,11 @@ def main(argv=None) -> int:
 
         def traced_unit():
             tracer.reset()
+            start = clock()
             out = unit()
+            took = clock() - start
             per_repeat.append(tracer.stats)
-            return out
+            return took, out
 
         with tracer:
             traced_times, traced = _repeat(traced_unit, seconds)
@@ -158,7 +174,7 @@ def main(argv=None) -> int:
             problems.append("traced run changed the outputs")
         doc["layers"] = _layer_metrics(per_repeat, outcome, verdict)
         doc["layers"]["trace.overhead"] = (median(traced_times)
-                                           / doc["attack_s"])
+                                           / doc["attack_raw_s"])
         doc["traced_repeats"] = len(traced_times)
     doc["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024.0

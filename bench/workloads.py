@@ -2,14 +2,16 @@
 
 Each workload is a committed config in the CLI's JSON schema
 (``bench/configs/<name>.json``). Set-up mirrors ``vflkit train`` followed by
-``--checkpoint``: the system is trained with the config's own seed, saved and
-loaded back. The attack mirrors ``vflkit synthesize`` or ``vflkit fuzz`` run
-with ``--seed``: the benchmark seed picks the sampled adversary rows (or the
-fuzz corpus) and seeds the campaign, through the same public functions and
-defaults the CLI uses.
+``--checkpoint``: it calls the CLI's own data and training helpers, trains
+with the config's own seed, and saves and loads the system back. The attack
+mirrors ``vflkit synthesize`` or ``vflkit fuzz`` run with ``--seed``: the
+benchmark seed picks the sampled adversary rows (or the fuzz corpus) and
+seeds the campaign, through the same public functions and defaults the CLI
+uses.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from dataclasses import dataclass
@@ -17,16 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from vflkit import assessment, cli, synth_data
-from vflkit.data import (PartitionSpec, image_column_partition, normalize,
-                         partition_vertical, sample_tiny, train_test_split)
+from vflkit import assessment, cli
+from vflkit.data import sample_tiny
 from vflkit.fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
 from vflkit.protocol import (joint_inference, load_system, predicted_labels,
-                             save_system, train_heterolr, train_splitnn)
-from vflkit.synthesis import SynthesisConfig, default_bound
+                             save_system)
+from vflkit.synthesis import default_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 WORKLOADS = ("fuzz-credit", "whitebox-digits", "blackbox-digits")
+# The ``speed.KERNELS`` entry whose slowdown tracks each attack's: fuzzing and
+# whitebox steps are single-row calls from the interpreter, blackbox steps
+# are matrix products over 393-row batches.
+SPEED_KERNEL = {"fuzz-credit": "interpreted",
+                "whitebox-digits": "interpreted",
+                "blackbox-digits": "batched"}
 THRESHOLDS = (0.95, 0.99)
 
 
@@ -36,45 +43,6 @@ def load_config(name: str) -> dict:
         raise ValueError(f"unknown workload {name!r}")
     with open(CONFIG_DIR / f"{name}.json", encoding="utf-8") as fh:
         return cli.validate_config(json.load(fh))
-
-
-def _dataset(spec: dict):
-    name = spec["name"]
-    if name == "credit":
-        ds = synth_data.make_credit_like(spec.get("n") or synth_data.CREDIT_N)
-    elif name == "digits":
-        ds = synth_data.make_digits_like(spec.get("n") or 20000, seed=13)
-    else:
-        raise ValueError(f"workload data must be credit or digits: {name!r}")
-    if spec.get("normalize", name != "digits"):
-        ds = normalize(ds)
-    return ds
-
-
-def _partition(part: dict, d: int) -> PartitionSpec:
-    counts = [int(c) for c in part["counts"]]
-    if part["kind"] == "image_columns":
-        return image_column_partition(counts, int(part.get("image_side", 28)))
-    starts = np.cumsum([0] + counts)
-    if starts[-1] != d:
-        raise ValueError(f"partition counts sum to {starts[-1]}, not {d}")
-    return PartitionSpec([list(range(a, b))
-                          for a, b in zip(starts, starts[1:])])
-
-
-def _train(cfg: dict, train_views, labels):
-    tr = cfg.get("train", {})
-    splitnn = cfg.get("protocol") == "splitnn"
-    args = (tr.get("epochs", 10 if splitnn else 30), tr.get("lr", 0.05),
-            tr.get("batch", 64), cfg["seed"], tr.get("momentum", 0.9))
-    if not splitnn:
-        return train_heterolr(train_views, labels, *args)
-    model = cfg.get("model", {})
-    dims = [[v.shape[1]] + model.get("local_hidden", [128, 64])
-            for v in train_views]
-    top = ([sum(d[-1] for d in dims)] + model.get("top_hidden", [64])
-           + [int(np.max(labels)) + 1])
-    return train_splitnn(train_views, labels, dims, top, *args)
 
 
 @dataclass
@@ -101,15 +69,9 @@ def set_up(name: str, seed: int, workdir: Path,
     cfg = load_config(name)
     phases = {}
     t = clock()
-    dspec = cfg["dataset"]
-    ds = _dataset(dspec)
-    train, test = train_test_split(ds, dspec.get("test_fraction", 0.2),
-                                   seed=dspec.get("split_seed", 1))
-    spec = _partition(cfg["partition"], ds.d)
-    train_views = partition_vertical(train, spec)
-    test_views = partition_vertical(test, spec)
+    train_views, test_views, ytr, _, _, _ = cli._prepared(cfg)
     phases["data_s"], t = clock() - t, clock()
-    system, _ = _train(cfg, train_views, train.labels)
+    system, _ = cli._train_system(cfg, train_views, ytr, cfg["seed"])
     phases["train_s"], t = clock() - t, clock()
     ckpt = workdir / f"{name}-checkpoint.json"
     save_system(system, ckpt)
@@ -121,6 +83,7 @@ def set_up(name: str, seed: int, workdir: Path,
         calibration = calibrate_saliency(system, train_views)
     phases["calibrate_s"] = clock() - t
 
+    dspec = cfg["dataset"]
     rng = np.random.default_rng(seed)
     n_test = test_views[0].shape[0]
     benign = test_views[1:]
@@ -133,6 +96,7 @@ def set_up(name: str, seed: int, workdir: Path,
         n = int(fz.get("corpus", "sample:100").split(":", 1)[1])
         rows = test_views[0][rng.choice(n_test, size=min(n, n_test),
                                         replace=False)]
+        # The CLI builds this inline in cmd_fuzz; same keys and defaults.
         bound = default_bound(train_views[0], fz.get("bound_multiplier", 1.0))
         attack_cfg = CampaignConfig(
             max_iter=fz.get("max_iter", 5000), energy=fz.get("energy", 20),
@@ -142,12 +106,9 @@ def set_up(name: str, seed: int, workdir: Path,
             budget_secs=None, seed=seed)
         kind = "fuzz"
     else:
-        sc = dict(cfg.get("synthesis", {}))
-        n = sc.pop("n_inputs", 50)
-        mult = sc.pop("bound_multiplier", 1.0)
-        attack_cfg = SynthesisConfig(**sc)
-        if attack_cfg.strategy == "bounded" and attack_cfg.bound is None:
-            attack_cfg.bound = default_bound(train_views[0], mult)
+        n = cfg.get("synthesis", {}).get("n_inputs", 50)
+        attack_cfg = cli._synthesis_config(cfg, argparse.Namespace(),
+                                           train_views[0])
         bound = attack_cfg.bound if attack_cfg.strategy == "bounded" else None
         rows = test_views[0][rng.choice(n_test, size=min(n, n_test),
                                         replace=False)]
