@@ -103,29 +103,47 @@ def saliency_score(system: VFLSystem, views, participant_id: str,
     return np.clip(norms / calibration.scales[participant_id], 0.0, 1.0)
 
 
-def compute_mask(system: VFLSystem, views, participant_id: str,
+def _target_mask(system: VFLSystem, jt: _JointTrace, idx: int,
                  label: int) -> np.ndarray:
-    """Saliency mask in [0, 1] for one participant's single input row:
-    absolute gradient of the predicted label's logit, rescaled by its max."""
-    idx = [p.id for p in system.participants].index(participant_id)
-    jt = joint_forward(system, views)
+    """Absolute gradient of the label's logit on participant ``idx``'s first
+    input row, rescaled by its max. Backpropagates into that participant's
+    model only."""
     width = jt.probs.shape[1]
     if width == 1:
         glogit = np.ones((jt.probs.shape[0], 1))
     else:
         glogit = np.zeros_like(jt.probs)
         glogit[:, label] = 1.0
-    grads, _, _ = joint_backward(system, jt, glogit, from_logits=True)
-    mask = np.abs(grads[idx][0])
+    branch_grads, _ = coordinator_backward(system, jt, glogit, from_logits=True)
+    _, grad = model_backward(system.participants[idx].model,
+                             jt.local_traces[idx], branch_grads[idx])
+    mask = np.abs(grad[0])
     peak = mask.max()
     return mask / peak if peak > 0 else mask
+
+
+def compute_mask(system: VFLSystem, views, participant_id: str,
+                 label: int) -> np.ndarray:
+    """Saliency mask in [0, 1] for one participant's single input row:
+    absolute gradient of the given label's logit, rescaled by its max."""
+    idx = [p.id for p in system.participants].index(participant_id)
+    return _target_mask(system, joint_forward(system, views), idx, label)
+
+
+def _evaluator(system: VFLSystem, s_views) -> JointEvaluator:
+    """The given JointEvaluator, or one built over the benign views."""
+    if not isinstance(s_views, JointEvaluator):
+        return JointEvaluator(system, s_views)
+    if s_views.system is not system or s_views.adv_index != 0:
+        raise ValueError("evaluator must vary the adversary of this system")
+    return s_views
 
 
 def is_adi(x_adv, s_views, l_target: int, system: VFLSystem,
            stable_fraction: float = 1.0) -> bool:
     """True when at least stable_fraction of the benign sample is forced to
-    the target label."""
-    evaluator = JointEvaluator(system, s_views)
+    the target label. ``s_views`` may be a JointEvaluator over the sample."""
+    evaluator = _evaluator(system, s_views)
     return evaluator.attack_accuracy(x_adv, l_target) >= stable_fraction
 
 
@@ -152,22 +170,29 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
     pairings that do not weaken features the new mask stresses but the
     original input's mask ignores. The result stays within the bound box
     around the seed's lineage origin.
+
+    Each benign row costs one forward and one backward of the adversary's
+    model. ``s_views`` may be a JointEvaluator over the benign sample; its
+    memo then keeps the origin's masks from one call to the next.
     """
+    evaluator = _evaluator(system, s_views)
     bound = as_vector(bound, seed.input.shape[0])
     scale = np.sqrt(bound)
     x = seed.input + rng.standard_normal(seed.input.shape[0]) * (
         noise_std_factor * scale)
-    adv_id = system.participants[0].id
-    for rows in zip(*(view for view in s_views)):
-        views_new = [x[None, :]] + [r[None, :] for r in rows]
-        probs = joint_forward(system, views_new).probs
-        l_pred = int(predicted_labels(probs)[0])
-        mask_new = compute_mask(system, views_new, adv_id, seed.target)
-        if l_pred == seed.target:
+    origin_masks = evaluator.memo.setdefault(
+        ("origin_mask", seed.origin.tobytes(), seed.target), {})
+    for j in range(evaluator.n):
+        jt = evaluator.row_trace(x, j)
+        mask_new = _target_mask(system, jt, 0, seed.target)
+        if int(predicted_labels(jt.probs)[0]) == seed.target:
             x = x + mask_weight * mask_new * scale
         else:
-            views_orig = [seed.origin[None, :]] + [r[None, :] for r in rows]
-            mask_orig = compute_mask(system, views_orig, adv_id, seed.target)
+            mask_orig = origin_masks.get(j)
+            if mask_orig is None:
+                mask_orig = origin_masks[j] = _target_mask(
+                    system, evaluator.row_trace(seed.origin, j), 0,
+                    seed.target)
             overshoot = np.maximum(mask_new - mask_orig, 0.0)
             x = x - mask_weight * overshoot * scale
     return seed.origin + np.clip(x - seed.origin, -bound, bound)
@@ -196,9 +221,9 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
 
     Each popped seed gets a fixed energy of mutations. Mutants that pin the
     hidden benign sample to the seed's target are verified against the full
-    benign test view at both dominating thresholds and recorded; mutants
-    that merely reduce the benign saliency score re-enter the queue.
-    Deterministic given (corpus, system, sample, config).
+    benign test view and recorded when they reach the low dominating
+    threshold; mutants that merely reduce the benign saliency score re-enter
+    the queue. Deterministic given (corpus, system, sample, config).
     """
     if not isinstance(system, VFLSystem):
         raise TypeError("fuzz_campaign(corpus, system, ...): system must be a "
@@ -222,7 +247,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
         score = _benign_mean_score(system, row, s_views, calibration)
         queue.append(FuzzSeed(row.copy(), label, score, lineage, row.copy()))
 
-    low, high = cfg.thresholds
+    low = cfg.thresholds[0]
     result = FuzzResult(adis=[])
     for iteration in range(cfg.max_iter):
         if not queue:
@@ -232,13 +257,14 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
         seed = queue.popleft()
         outcome = "exhausted"
         for _ in range(cfg.energy):
-            x_new = mutate_saliency_aware(seed, s_views, system,
+            x_new = mutate_saliency_aware(seed, sample_eval, system,
                                           cfg.mask_weight, cfg.bound, rng,
                                           cfg.noise_std_factor)
             result.n_mutations += 1
             seed = FuzzSeed(x_new, seed.target, seed.best_score,
                             seed.lineage_id, seed.origin)
-            if is_adi(x_new, s_views, seed.target, system, cfg.stable_fraction):
+            if is_adi(x_new, sample_eval, seed.target, system,
+                      cfg.stable_fraction):
                 r_full = full_eval.attack_accuracy(x_new, seed.target)
                 if r_full >= low:
                     cand = AdiCandidate(seed.origin.copy(),
@@ -254,8 +280,9 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
                 if better:
                     requeued = FuzzSeed(x_new.copy(), seed.target, score,
                                         seed.lineage_id, seed.origin)
-                    assert np.all(np.abs(requeued.input - requeued.origin)
-                                  <= cfg.bound + 1e-12)
+                    if not np.all(np.abs(requeued.input - requeued.origin)
+                                  <= cfg.bound + 1e-12):
+                        raise RuntimeError("requeued seed left the bound box")
                     queue.append(requeued)
                     seed = FuzzSeed(x_new, seed.target, score,
                                     seed.lineage_id, seed.origin)
@@ -265,14 +292,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
             "score": seed.best_score, "outcome": outcome,
         })
         result.n_iterations = iteration + 1
-    # Campaign-level bookkeeping for the meets-99% threshold view.
-    for cand in result.adis:
-        cand.provenance = "fuzz"
     return result
-
-
-def adis_at_threshold(result: FuzzResult, threshold: float) -> list[AdiCandidate]:
-    return [c for c in result.adis if c.accuracy >= threshold]
 
 
 # Cooperative multi-party fuzzing: the benign sample never leaves the benign

@@ -20,7 +20,8 @@ import numpy as np
 
 from .model import as_matrix, as_vector, forward
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       predicted_labels, _sigmoid)
+                       predicted_labels, _coordinator_forward, _JointTrace,
+                       _sigmoid)
 
 BOUND_FLOOR = 1e-6
 
@@ -166,6 +167,12 @@ class JointEvaluator:
     against the same benign set cost only the varying party's forward plus
     the top stage. ``adv_index`` selects which participant varies (default:
     the first, the adversary-side party).
+
+    ``row_trace`` pairs the varying row with one fixed row at a time. It
+    uses each fixed row's own single-row local outputs, which are computed
+    on first use: rows sliced from the batched outputs can differ from them
+    in the last bits. ``memo`` holds values that callers derive from the
+    fixed rows; it lives exactly as long as the evaluator.
     """
 
     def __init__(self, system: VFLSystem, benign_views, adv_index: int = 0):
@@ -175,13 +182,37 @@ class JointEvaluator:
         if len(self.benign_views) != len(system.participants) - 1:
             raise ValueError("one view per benign participant required")
         self.n = self.benign_views[0].shape[0] if self.benign_views else 1
-        others = [p for i, p in enumerate(system.participants) if i != adv_index]
+        self._others = [p for i, p in enumerate(system.participants)
+                        if i != adv_index]
         locals_ = [forward(p.model, v)[0] for p, v in
-                   zip(others, self.benign_views)]
+                   zip(self._others, self.benign_views)]
         if system.protocol == "heterolr":
             self._benign_score = sum(locals_)
         else:
             self._fixed_locals = locals_
+        self._row_locals: dict[int, list[np.ndarray]] = {}
+        self.memo: dict = {}
+
+    def row_trace(self, x_adv, j: int) -> _JointTrace:
+        """Traced joint pass of the varying row against fixed row ``j``.
+
+        Only the varying party's local model runs; its trace is the one
+        entry of ``local_traces`` that is not None. The result equals
+        ``joint_forward`` on the same two single-row views.
+        """
+        locals_ = self._row_locals.get(j)
+        if locals_ is None:
+            locals_ = self._row_locals[j] = [
+                forward(p.model, v[j][None, :])[0]
+                for p, v in zip(self._others, self.benign_views)]
+        part = self.system.participants[self.adv_index]
+        out, trace = forward(part.model, np.asarray(x_adv)[None, :])
+        locals_ = list(locals_)
+        locals_.insert(self.adv_index, out)
+        traces = [None] * len(locals_)
+        traces[self.adv_index] = trace
+        probs, coord_trace = _coordinator_forward(self.system, locals_)
+        return _JointTrace(traces, locals_, coord_trace, probs)
 
     def probs_for(self, x_adv) -> np.ndarray:
         part = self.system.participants[self.adv_index]
@@ -496,7 +527,8 @@ def adi_generate(x_adv_star, system: VFLSystem, l_target: int,
             delta_prev = delta
             t += 1
         r = stop_eval.attack_accuracy(base + v, l_target)
-    if cfg.strategy == "bounded":
-        assert np.all(np.abs(v) <= cfg.bound + 1e-12), "mutation bound violated"
+    if cfg.strategy == "bounded" and not np.all(
+            np.abs(v) <= cfg.bound + 1e-12):
+        raise RuntimeError("mutation bound violated")
     return AdiCandidate(base, v, int(l_target), float(r), t - 1,
                         cfg.strategy, cfg.mode)

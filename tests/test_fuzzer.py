@@ -8,7 +8,9 @@ from vflkit.fuzzer import (CampaignConfig, CooperationConfig, FuzzSeed,
                            reduce_saliency, run_cooperative_session,
                            saliency_score)
 from vflkit.model import LayerSpec, LocalModel
-from vflkit.protocol import Coordinator, Participant, VFLSystem
+from vflkit.protocol import (Coordinator, Participant, VFLSystem,
+                             joint_forward, predicted_labels,
+                             train_linear_joint)
 from vflkit.synthesis import JointEvaluator, SynthesisConfig, adi_generate, \
     attack_accuracy, default_bound
 
@@ -173,6 +175,123 @@ class TestMutation:
             cursor = FuzzSeed(out, seed.target, seed.best_score, 0, x.copy())
 
 
+def reference_mutation(seed, s_views, system, mask_weight, bound, rng,
+                       noise_std_factor=0.1):
+    """mutate_saliency_aware written from joint_forward and compute_mask,
+    one full-system pass per call. Also returns how many benign rows took
+    the agreeing and the disagreeing branch."""
+    scale = np.sqrt(bound)
+    x = seed.input + rng.standard_normal(seed.input.shape[0]) * (
+        noise_std_factor * scale)
+    adv_id = system.participants[0].id
+    branches = [0, 0]
+    for rows in zip(*s_views):
+        views_new = [x[None, :]] + [r[None, :] for r in rows]
+        probs = joint_forward(system, views_new).probs
+        mask_new = compute_mask(system, views_new, adv_id, seed.target)
+        if int(predicted_labels(probs)[0]) == seed.target:
+            branches[0] += 1
+            x = x + mask_weight * mask_new * scale
+        else:
+            branches[1] += 1
+            views_orig = [seed.origin[None, :]] + [r[None, :] for r in rows]
+            mask_orig = compute_mask(system, views_orig, adv_id, seed.target)
+            x = x - mask_weight * np.maximum(mask_new - mask_orig, 0.0) * scale
+    return seed.origin + np.clip(x - seed.origin, -bound, bound), branches
+
+
+def three_class_linear():
+    """3-class HeteroLR (softmax head) on Gaussian blobs, 3 | 3 columns."""
+    rng = np.random.default_rng(21)
+    labels = rng.integers(0, 3, size=600)
+    means = np.random.default_rng(22).standard_normal((3, 6))
+    x = means[labels] + rng.standard_normal((600, 6))
+    system, _ = train_linear_joint([x[:, :3], x[:, 3:]], labels, 3,
+                                   epochs=5, seed=3)
+    return system, [x[:500, :3], x[:500, 3:]], [x[500:, :3], x[500:, 3:]]
+
+
+class TestFusedStep:
+    """mutate_saliency_aware and is_adi give the same bytes with plain views
+    and with a JointEvaluator as the full-system reference."""
+
+    def _check(self, system, s_views, x, target, bound, n_steps=3):
+        ev = JointEvaluator(system, s_views)
+        origin = x.copy()
+        ref = plain = fused = FuzzSeed(x, target, 1.0, 0, origin)
+        rngs = [np.random.default_rng(11) for _ in range(3)]
+        branches = [0, 0]
+        for _ in range(n_steps):
+            out_ref, taken = reference_mutation(ref, s_views, system, 0.2,
+                                                bound, rngs[0])
+            out_plain = mutate_saliency_aware(plain, s_views, system, 0.2,
+                                              bound, rngs[1])
+            out_fused = mutate_saliency_aware(fused, ev, system, 0.2, bound,
+                                              rngs[2])
+            assert out_plain.tobytes() == out_ref.tobytes()
+            assert out_fused.tobytes() == out_ref.tobytes()
+            for frac in (1.0, 0.5):
+                assert is_adi(out_ref, s_views, target, system, frac) == \
+                    is_adi(out_ref, ev, target, system, frac)
+            branches = [a + b for a, b in zip(branches, taken)]
+            ref, plain, fused = (FuzzSeed(out, target, 1.0, 0, origin)
+                                 for out in (out_ref, out_plain, out_fused))
+        # Both feedback branches ran, the second one through the memo.
+        assert min(branches) > 0
+
+    @staticmethod
+    def _contested(system, s_views, rows):
+        """The adversary row whose majority label the sample agrees on
+        least, and that label: both feedback branches then run."""
+        ev = JointEvaluator(system, s_views)
+        shares = [ev.majority_label(row) for row in rows]
+        i = int(np.argmin([share for _, share in shares]))
+        return rows[i], shares[i][0]
+
+    def test_binary_heterolr(self, credit_setup):
+        system = credit_setup["system"]
+        s_views = [credit_setup["test_views"][1][:20]]
+        bound = default_bound(credit_setup["train_views"][0], 6.0)
+        x, target = self._contested(system, s_views,
+                                    credit_setup["test_views"][0][:30])
+        self._check(system, s_views, x, target, bound)
+
+    def test_softmax_heterolr(self):
+        system, train_views, test_views = three_class_linear()
+        s_views = [test_views[1][:20]]
+        bound = default_bound(train_views[0], 6.0)
+        x, target = self._contested(system, s_views, test_views[0][:30])
+        self._check(system, s_views, x, target, bound)
+
+    def test_splitnn(self, digits_setup):
+        system = digits_setup["system"]
+        s_views = [digits_setup["test_views"][1][:12]]
+        bound = default_bound(digits_setup["train_views"][0], 6.0)
+        x, target = self._contested(system, s_views,
+                                    digits_setup["test_views"][0][:30])
+        self._check(system, s_views, x, target, bound, n_steps=2)
+
+    def test_row_trace_matches_joint_forward(self, credit_setup, digits_setup):
+        # Fixed rows use their own single-row local outputs; rows sliced from
+        # a batched forward differ in the last bits on credit.
+        for setup in (credit_setup, digits_setup):
+            system = setup["system"]
+            x = setup["test_views"][0][0]
+            s_views = [setup["test_views"][1][:20]]
+            ev = JointEvaluator(system, s_views)
+            for j in range(20):
+                jt = joint_forward(system,
+                                   [x[None, :], s_views[0][j][None, :]])
+                assert ev.row_trace(x, j).probs.tobytes() == jt.probs.tobytes()
+
+    def test_foreign_evaluator_rejected(self, credit_setup):
+        system = credit_setup["system"]
+        s_views = [credit_setup["test_views"][1][:5]]
+        other = toy_logistic()
+        with pytest.raises(ValueError, match="evaluator"):
+            is_adi(np.zeros(13), JointEvaluator(system, s_views), 0, other)
+
+
 class TestReduceSaliency:
     def test_identical_input_not_a_reduction(self, credit_setup):
         system = credit_setup["system"]
@@ -256,6 +375,23 @@ class TestCampaign:
             r = attack_accuracy(cand.input, system, cand.target, full_views)
             assert r >= 0.95
             assert cand.provenance == "fuzz"
+
+    def test_splitnn_campaign(self, digits_setup):
+        system = digits_setup["system"]
+        test_views = digits_setup["test_views"]
+        bound = default_bound(digits_setup["train_views"][0], 6.0)
+        calib = calibrate_saliency(system, digits_setup["train_views"])
+        cfg = CampaignConfig(max_iter=3, energy=2, bound=bound, seed=1)
+        args = (test_views[0][:3], system, [test_views[1][:10]], cfg,
+                [test_views[1]], calib)
+        a = fuzz_campaign(*args)
+        b = fuzz_campaign(*args)
+        assert a.adis
+        assert a.log == b.log
+        assert [c.to_json() for c in a.adis] == [c.to_json() for c in b.adis]
+        for cand in a.adis:
+            assert attack_accuracy(cand.input, system, cand.target,
+                                   [test_views[1]]) == cand.accuracy
 
     def test_system_first_order_rejected(self, credit_setup):
         corpus, system, *rest = self._setup(credit_setup)
