@@ -1,0 +1,52 @@
+"""Characterization tests for the assessment studies, pinned to
+``tests/golden/assessment.json``."""
+import numpy as np
+
+import golden
+from vflkit import synth_data
+from vflkit.assessment import (participants_sweep, partition_ratio_sweep,
+                               reward_shares)
+from vflkit.synthesis import SynthesisConfig
+
+TRAIN = {"local_hidden": [16], "top_hidden": [16], "epochs": 4, "lr": 0.1,
+         "batch": 32}
+
+
+def _rows(report):
+    return {"config": report.config, "rows": report.rows}
+
+
+def test_reward_shares_credit(credit_setup):
+    views = [v[:200] for v in credit_setup["test_views"]]
+    shares, degenerate = reward_shares(credit_setup["system"], views)
+    golden.check("assessment", "reward-shares-credit",
+                 {"shares": shares, "degenerate": degenerate})
+
+
+def test_reward_shares_digits(digits_setup):
+    views = [v[:200] for v in digits_setup["test_views"]]
+    shares, degenerate = reward_shares(digits_setup["system"], views)
+    golden.check("assessment", "reward-shares-digits",
+                 {"shares": shares, "degenerate": degenerate})
+
+
+def test_ratio_sweep_on_tabular_data_with_bounded_synthesis():
+    ds = synth_data.make_vehicle_like(300)
+    # The sweep replaces this bound by each split's own adversary bound.
+    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1), max_rounds=4,
+                          inner_steps=3, inner_lr=0.5)
+    report = partition_ratio_sweep(ds.features, ds.labels, [0.5, 2.0], None,
+                                   TRAIN, cfg, n_dominance=40, n_synth=3,
+                                   seed=2)
+    golden.check("assessment", "ratio-sweep-tabular-bounded", _rows(report))
+
+
+def test_participants_sweep_with_both_strategies():
+    ds = synth_data.make_digits_like(300, seed=21)
+    random = SynthesisConfig(max_rounds=4, inner_steps=3, inner_lr=0.5)
+    bounded = SynthesisConfig(strategy="bounded", bound=np.ones(1),
+                              max_rounds=4, inner_steps=3, inner_lr=0.5)
+    report = participants_sweep(ds.features, ds.labels, [2, 5], TRAIN,
+                                random, bounded, n_dominance=40, n_synth=3,
+                                seed=3)
+    golden.check("assessment", "participants-sweep-both", _rows(report))
