@@ -11,7 +11,7 @@ from .data import (Dataset, PartitionSpec, TinyDataset, load_csv, load_idx,
                    ratio_split, sample_tiny, synth_gmm_dataset,
                    train_test_split)
 from .model import (LayerSpec, LocalModel, SgdMomentum, backward, forward,
-                    grad_check, init_model, load_model, save_model, sgd_step)
+                    grad_check, init_model, load_model, save_model)
 from .protocol import (Coordinator, Participant, ProtocolMessage, VFLSystem,
                        evaluate, joint_inference, load_system, local_output,
                        run_with_trace, save_system, train_heterolr,

@@ -7,17 +7,17 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import image_column_partition, mnist_column_split, partition_vertical, \
-    ratio_split, sample_tiny
+from .data import (image_column_partition, mnist_column_split,
+                   partition_vertical, ratio_split, sample_tiny)
 from .model import as_matrix, as_vector
-from .protocol import VFLSystem, evaluate, input_gradients, train_splitnn
+from .protocol import VFLSystem, evaluate, splitnn_architecture, train_splitnn
 from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
-                        adi_generate, default_bound, _as_benign_views,
-                        _spread_grad_on_probs)
+                        adi_generate, default_bound, spread_input_grads,
+                        _as_benign_views)
 
 
 @dataclass
@@ -69,24 +69,15 @@ def report_filename(kind: str, seed: int, ext: str = "json") -> str:
     return f"{kind}-{seed}-{stamp}.{ext}"
 
 
-def majority_labels(evaluator: JointEvaluator, rows: np.ndarray):
-    """Per-row majority joint label and its share across the benign view."""
-    labels = np.empty(rows.shape[0], dtype=np.int64)
-    shares = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        labels[i], shares[i] = evaluator.majority_label(row)
-    return labels, shares
-
-
 def dominating_rate(system: VFLSystem, adv_rows, benign_views,
                     threshold: float = 0.95, adv_index: int = 0) -> float:
     """Share of unperturbed rows already pinning their own majority label on
     at least ``threshold`` of the benign view."""
-    if threshold not in (0.95, 0.99):
-        raise ValueError("dominating thresholds are 0.95 and 0.99")
-    adv_rows = as_matrix(adv_rows)
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
     evaluator = JointEvaluator(system, benign_views, adv_index=adv_index)
-    _, shares = majority_labels(evaluator, adv_rows)
+    shares = np.array([evaluator.majority_label(row)[1]
+                       for row in as_matrix(adv_rows)])
     return float(np.mean(shares >= threshold))
 
 
@@ -118,20 +109,14 @@ def reward_shares(system: VFLSystem, views) -> tuple[np.ndarray, bool]:
     """Per-participant contribution shares for a batch of joint inferences.
 
     The per-participant saliency map is the gradient of the output spread
-    weighted by the input itself (|grad . input| elementwise); its L1 norm,
-    normalized across participants, is the per-inference share. Returns the
-    mean share vector and a flag set when every map was zero (uniform
-    fallback).
+    (``synthesis.spread_input_grads``) weighted by the input itself
+    (|grad . input| elementwise); its L1 norm, normalized across
+    participants, is the per-inference share. Returns the mean share vector
+    and a flag set when any row's maps were all zero (that row falls back
+    to uniform shares).
     """
     views = [as_matrix(v) for v in views]
-    from .protocol import joint_forward, joint_backward
-    jt = joint_forward(system, views)
-    if jt.probs.shape[1] == 1:
-        gp = np.ones_like(jt.probs)
-    else:
-        c = jt.probs.shape[1]
-        gp = (2.0 / c) * (jt.probs - jt.probs.mean(axis=1, keepdims=True))
-    grads, _, _ = joint_backward(system, jt, gp)
+    grads = spread_input_grads(system, views)
     norms = np.stack([np.abs(g * v).sum(axis=1)
                       for g, v in zip(grads, views)], axis=1)
     totals = norms.sum(axis=1, keepdims=True)
@@ -211,6 +196,58 @@ def reconstruct_and_rate(study: PerturbationStudy, k: int, system: VFLSystem,
     return evaluator.attack_accuracy(study.base + projected, study.target)
 
 
+def _split_bound(cfg: SynthesisConfig, train_view_adv) -> SynthesisConfig:
+    if cfg.strategy != "bounded":
+        return cfg
+    return replace(cfg, bound=default_bound(train_view_adv))
+
+
+def _sweep(features, labels, specs, train_seeds, train_cfg: dict,
+           synth_cfgs, n_dominance: int, n_synth: int, test_fraction: float,
+           seed: int, tiny_seed: int, threshold: float):
+    """The skeleton both sweeps share.
+
+    Splits the rows into train and test once. Then, per partition spec, it
+    trains a split network with that spec's train seed and measures its
+    test accuracy and the adversary's dominating rate. It samples adversary
+    rows and a benign tiny sample and measures the synthesis success of each
+    config; bounded configs get the bound of that split's adversary view.
+    Yields (system, test views, accuracy, dominating rate, successes).
+    """
+    features = as_matrix(features)
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    rng = np.random.default_rng(seed)
+    n = features.shape[0]
+    n_test = int(round(n * test_fraction))
+    order = rng.permutation(n)
+    test_idx, train_idx = order[:n_test], order[n_test:]
+    n_classes = int(labels.max()) + 1
+    for spec, train_seed in zip(specs, train_seeds):
+        views = partition_vertical(features, spec)
+        train_views = [v[train_idx] for v in views]
+        test_views = [v[test_idx] for v in views]
+        dims, top = splitnn_architecture(train_views, train_cfg["local_hidden"],
+                                         train_cfg["top_hidden"], n_classes)
+        system, _ = train_splitnn(train_views, labels[train_idx], dims, top,
+                                  epochs=train_cfg.get("epochs", 10),
+                                  lr=train_cfg.get("lr", 0.05),
+                                  batch=train_cfg.get("batch", 64),
+                                  seed=train_seed)
+        accuracy = evaluate(system, test_views, labels[test_idx])["accuracy"]
+        benign = test_views[1:]
+        dom = dominating_rate(system, test_views[0][:n_dominance], benign,
+                              threshold)
+        sample = test_views[0][rng.choice(n_test, size=min(n_synth, n_test),
+                                          replace=False)]
+        tiny = sample_tiny(np.concatenate(benign, axis=1), min(20, n_test),
+                           seed=tiny_seed)
+        successes = [success_rate(system, sample,
+                                  _split_bound(cfg, train_views[0]), tiny,
+                                  benign, threshold)[0]
+                     for cfg in synth_cfgs]
+        yield system, test_views, accuracy, dom, successes
+
+
 def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
                           train_cfg: dict, synth_cfg: SynthesisConfig,
                           n_dominance: int = 300, n_synth: int = 40,
@@ -219,13 +256,6 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
     """Accuracy, per-side dominance, and synthesis success across feature
     partition ratios. ``image_side`` switches to pixel-column partitioning."""
     t0 = time.time()
-    features = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    rng = np.random.default_rng(seed)
-    n = features.shape[0]
-    n_test = int(round(n * test_fraction))
-    order = rng.permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
     report = ExperimentReport(
         "partition-ratio-sweep",
         {"ratios": list(ratios), "train": train_cfg,
@@ -234,42 +264,27 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
         ["ratio", "accuracy", "dominating_rate_adv", "dominating_rate_benign",
          "synthesis_success"],
         seed=seed)
+    specs = []
     for ratio in ratios:
         if image_side is not None:
             n_a = int(round(image_side * ratio / (1.0 + ratio)))
-            spec = image_column_partition([n_a, image_side - n_a], image_side)
+            specs.append(image_column_partition([n_a, image_side - n_a],
+                                                image_side))
         else:
-            spec = ratio_split(features.shape[1], ratio)
-        views = partition_vertical(features, spec)
-        train_views = [v[train_idx] for v in views]
-        test_views = [v[test_idx] for v in views]
-        dims = [[v.shape[1]] + train_cfg["local_hidden"] for v in train_views]
-        top = [sum(d[-1] for d in dims)] + train_cfg["top_hidden"] + [
-            int(labels.max()) + 1]
-        system, _ = train_splitnn(train_views, labels[train_idx], dims, top,
-                                  epochs=train_cfg.get("epochs", 10),
-                                  lr=train_cfg.get("lr", 0.05),
-                                  batch=train_cfg.get("batch", 64),
-                                  seed=seed + int(ratio * 100))
-        metrics = evaluate(system, test_views, labels[test_idx])
-        n_dom = min(n_dominance, n_test)
-        dom_a = dominating_rate(system, test_views[0][:n_dom],
-                                [test_views[1]], thresholds[0], adv_index=0)
-        dom_b = dominating_rate(system, test_views[1][:n_dom],
-                                [test_views[0]], thresholds[0], adv_index=1)
-        cfg = synth_cfg
-        if cfg.strategy == "bounded":
-            cfg = SynthesisConfig(**{**cfg.__dict__,
-                                     "bound": default_bound(train_views[0])})
-        sample = test_views[0][rng.choice(n_test, size=min(n_synth, n_test),
-                                          replace=False)]
-        tiny = sample_tiny(test_views[1], min(20, n_test), seed=seed + 1)
-        succ, _ = success_rate(system, sample, cfg, tiny, [test_views[1]],
-                               thresholds[0])
+            specs.append(ratio_split(np.shape(features)[1], ratio))
+    cells = _sweep(features, labels, specs,
+                   [seed + int(ratio * 100) for ratio in ratios], train_cfg,
+                   [synth_cfg], n_dominance, n_synth, test_fraction, seed,
+                   seed + 1, thresholds[0])
+    for ratio, (system, test_views, accuracy, dom_a, successes) in \
+            zip(ratios, cells):
+        view_a, view_b = test_views
+        dom_b = dominating_rate(system, view_b[:n_dominance], [view_a],
+                                thresholds[0], adv_index=1)
         report.rows.append({
-            "ratio": float(ratio), "accuracy": metrics["accuracy"],
+            "ratio": float(ratio), "accuracy": accuracy,
             "dominating_rate_adv": dom_a, "dominating_rate_benign": dom_b,
-            "synthesis_success": succ,
+            "synthesis_success": successes[0],
         })
     report.wallclock_secs = time.time() - t0
     report.validate()
@@ -285,56 +300,24 @@ def participants_sweep(features, labels, counts, train_cfg: dict,
     """Accuracy, dominance, and synthesis success for 2/3/5-party splits of
     28x28 image data."""
     t0 = time.time()
-    features = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    rng = np.random.default_rng(seed)
-    n = features.shape[0]
-    n_test = int(round(n * test_fraction))
-    order = rng.permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
     columns = ["participants", "accuracy", "dominating_rate",
                "success_random"]
+    synth_cfgs = [synth_random]
     if synth_bounded is not None:
         columns.append("success_bounded")
+        synth_cfgs.append(synth_bounded)
     report = ExperimentReport(
         "participants-sweep",
         {"counts": list(counts), "train": train_cfg,
          "n_dominance": n_dominance, "n_synth": n_synth},
         columns, seed=seed)
-    for m in counts:
-        spec = mnist_column_split(m)
-        views = partition_vertical(features, spec)
-        train_views = [v[train_idx] for v in views]
-        test_views = [v[test_idx] for v in views]
-        dims = [[v.shape[1]] + train_cfg["local_hidden"] for v in train_views]
-        top = [sum(d[-1] for d in dims)] + train_cfg["top_hidden"] + [
-            int(labels.max()) + 1]
-        system, _ = train_splitnn(train_views, labels[train_idx], dims, top,
-                                  epochs=train_cfg.get("epochs", 10),
-                                  lr=train_cfg.get("lr", 0.05),
-                                  batch=train_cfg.get("batch", 64),
-                                  seed=seed + m)
-        metrics = evaluate(system, test_views, labels[test_idx])
-        benign_test = test_views[1:]
-        n_dom = min(n_dominance, n_test)
-        dom = dominating_rate(system, test_views[0][:n_dom], benign_test,
-                              threshold)
-        sample = test_views[0][rng.choice(n_test, size=min(n_synth, n_test),
-                                          replace=False)]
-        tiny_rows = np.concatenate(
-            [v for v in benign_test], axis=1)
-        tiny = sample_tiny(tiny_rows, min(20, n_test), seed=seed + 2)
-        succ_r, _ = success_rate(system, sample, synth_random, tiny,
-                                 benign_test, threshold)
-        row = {"participants": int(m), "accuracy": metrics["accuracy"],
-               "dominating_rate": dom, "success_random": succ_r}
-        if synth_bounded is not None:
-            cfg_b = SynthesisConfig(**{**synth_bounded.__dict__,
-                                       "bound": default_bound(train_views[0])})
-            succ_b, _ = success_rate(system, sample, cfg_b, tiny,
-                                     benign_test, threshold)
-            row["success_bounded"] = succ_b
-        report.rows.append(row)
+    cells = _sweep(features, labels, [mnist_column_split(m) for m in counts],
+                   [seed + m for m in counts], train_cfg, synth_cfgs,
+                   n_dominance, n_synth, test_fraction, seed, seed + 2,
+                   threshold)
+    for m, (_, _, accuracy, dom, successes) in zip(counts, cells):
+        report.rows.append(dict(zip(columns,
+                                    [int(m), accuracy, dom, *successes])))
     report.wallclock_secs = time.time() - t0
     report.validate()
     return report

@@ -20,10 +20,12 @@ from .data import (Dataset, PartitionSpec, image_column_partition, load_csv,
                    load_idx, mnist_column_split, normalize, partition_vertical,
                    ratio_split, sample_tiny, train_test_split)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
-from .protocol import (evaluate, load_system, save_system, train_heterolr,
+from .protocol import (evaluate, load_system, save_system,
+                       splitnn_architecture, train_heterolr,
                        train_linear_joint, train_splitnn)
-from .synthesis import (SynthesisConfig, default_bound, write_candidates)
-from .variance import (Gmm, ScalarMixture, fit_gmm_em, heterolr_variance,
+from .synthesis import (JointEvaluator, SynthesisConfig, default_bound,
+                        write_candidates)
+from .variance import (ScalarMixture, fit_gmm_em, heterolr_variance,
                        project_mixture, splitnn_unit_variance,
                        variance_monte_carlo)
 
@@ -178,22 +180,21 @@ def _train_system(cfg: dict, train_views, labels, seed: int):
     protocol_name = cfg.get("protocol", "heterolr")
     tr = cfg.get("train", {})
     epochs = tr.get("epochs", 30 if protocol_name != "splitnn" else 10)
-    lr = tr.get("lr", 0.05 if protocol_name != "splitnn" else 0.05)
+    lr = tr.get("lr", 0.05)
     batch = tr.get("batch", 64)
     momentum = tr.get("momentum", 0.9)
+    n_classes = int(np.max(labels)) + 1
     if protocol_name == "heterolr":
         return train_heterolr(train_views, labels, epochs, lr, batch, seed,
                               momentum)
     if protocol_name == "linear_softmax":
-        n_classes = int(np.max(labels)) + 1
         return train_linear_joint(train_views, labels, n_classes, epochs, lr,
                                   batch, seed, momentum)
     if protocol_name == "splitnn":
         model = cfg.get("model", {})
-        hidden = model.get("local_hidden", [128, 64])
-        top_hidden = model.get("top_hidden", [64])
-        dims = [[v.shape[1]] + hidden for v in train_views]
-        top = [sum(d[-1] for d in dims)] + top_hidden + [int(np.max(labels)) + 1]
+        dims, top = splitnn_architecture(
+            train_views, model.get("local_hidden", [128, 64]),
+            model.get("top_hidden", [64]), n_classes)
         return train_splitnn(train_views, labels, dims, top, epochs, lr,
                              batch, seed, momentum)
     raise ConfigError(f"unknown protocol {protocol_name!r}")
@@ -207,20 +208,50 @@ def _require_checkpoint(cfg: dict, args):
         return load_system(path)
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
 
 
 def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
+    """The run's synthesis settings; a bounded strategy is bounded by the
+    feature variance of ``train_view_adv`` times ``bound_multiplier``."""
     sc = dict(cfg.get("synthesis", {}))
+    unknown = sorted(set(sc) - _SYNTH_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown synthesis key {unknown[0]!r}")
     sc.pop("n_inputs", None)
     mult = sc.pop("bound_multiplier", 1.0)
     if getattr(args, "mode", None):
         sc["mode"] = args.mode
     if getattr(args, "mutation", None):
         sc["strategy"] = args.mutation
-    out = SynthesisConfig(**sc)
-    if out.strategy == "bounded" and out.bound is None:
-        out.bound = default_bound(train_view_adv, mult)
-    return out
+    try:
+        if sc.get("strategy") == "bounded":
+            sc["bound"] = default_bound(train_view_adv, mult)
+        return SynthesisConfig(**sc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"synthesis: {exc}") from None
+
+
+def _sample_rows(rng: np.random.Generator, view: np.ndarray,
+                 n: int) -> np.ndarray:
+    return view[rng.choice(view.shape[0], size=min(n, view.shape[0]),
+                           replace=False)]
+
+
+def _tiny_sample(cfg: dict, benign):
+    """The adversary's sample of joint benign test rows."""
+    dspec = cfg.get("dataset", {})
+    rows = np.concatenate(benign, axis=1)
+    return sample_tiny(rows, min(dspec.get("tiny_size", 20), rows.shape[0]),
+                       seed=dspec.get("tiny_seed", 5))
+
+
+def _write_report(out: Path, name: str, report, with_csv: bool = True):
+    stem = assessment.report_filename(name, report.seed, "")[:-1]
+    report.write_json(out / f"{stem}.json")
+    if with_csv:
+        report.write_csv(out / f"{stem}.csv")
 
 
 def cmd_train(cfg: dict, args) -> int:
@@ -245,6 +276,8 @@ def cmd_dominance(cfg: dict, args) -> int:
     dom_cfg = cfg.get("dominance", {})
     n_rows = dom_cfg.get("n_rows", 300)
     thresholds = dom_cfg.get("thresholds", [0.95, 0.99])
+    if not all(0 < t <= 1 for t in thresholds):
+        raise ConfigError("dominance.thresholds must lie in (0, 1]")
     report = assessment.ExperimentReport(
         "dominance", {"n_rows": n_rows, "thresholds": thresholds},
         ["threshold", "dominating_rate"], seed=cfg["seed"])
@@ -253,9 +286,7 @@ def cmd_dominance(cfg: dict, args) -> int:
         rate = assessment.dominating_rate(system, test_views[0][:n_rows],
                                           benign, thr)
         report.rows.append({"threshold": thr, "dominating_rate": rate})
-    stem = assessment.report_filename("dominance", cfg["seed"], "")[:-1]
-    report.write_json(out / f"{stem}.json")
-    report.write_csv(out / f"{stem}.csv")
+    _write_report(out, "dominance", report)
     print("dominance: " + " ".join(
         f"rate@{int(r['threshold']*100)}={r['dominating_rate']:.4f}"
         for r in report.rows))
@@ -267,17 +298,11 @@ def cmd_synthesize(cfg: dict, args) -> int:
     train_views, test_views, _, _, _, _ = _prepared(cfg)
     system = _require_checkpoint(cfg, args)
     scfg = _synthesis_config(cfg, args, train_views[0])
-    dspec = cfg.get("dataset", {})
     n_inputs = cfg.get("synthesis", {}).get("n_inputs", 50)
     rng = np.random.default_rng(cfg["seed"])
-    rows = test_views[0][rng.choice(test_views[0].shape[0],
-                                    size=min(n_inputs, test_views[0].shape[0]),
-                                    replace=False)]
+    rows = _sample_rows(rng, test_views[0], n_inputs)
     benign = test_views[1:]
-    tiny_rows = np.concatenate(benign, axis=1)
-    tiny = sample_tiny(tiny_rows, min(dspec.get("tiny_size", 20),
-                                      tiny_rows.shape[0]),
-                       seed=dspec.get("tiny_seed", 5))
+    tiny = _tiny_sample(cfg, benign)
     rate, candidates = assessment.success_rate(system, rows, scfg, tiny,
                                                benign, scfg.threshold)
     write_candidates(candidates, out / "candidates.jsonl")
@@ -287,8 +312,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
                       "threshold": scfg.threshold},
         ["success_rate"], seed=cfg["seed"])
     report.rows.append({"success_rate": rate})
-    stem = assessment.report_filename("synthesis", cfg["seed"], "")[:-1]
-    report.write_json(out / f"{stem}.json")
+    _write_report(out, "synthesis", report, with_csv=False)
     print(f"synthesize: success_rate={rate:.4f} ({scfg.strategy}/{scfg.mode})")
     return 0
 
@@ -298,25 +322,19 @@ def cmd_fuzz(cfg: dict, args) -> int:
     train_views, test_views, _, _, _, _ = _prepared(cfg)
     system = _require_checkpoint(cfg, args)
     fz = cfg.get("fuzz", {})
-    dspec = cfg.get("dataset", {})
     budget_mins = args.budget_mins if getattr(args, "budget_mins", None) \
         else fz.get("budget_mins")
     corpus_spec = fz.get("corpus", "sample:100")
     rng = np.random.default_rng(cfg["seed"])
     if isinstance(corpus_spec, str) and corpus_spec.startswith("sample:"):
-        n = int(corpus_spec.split(":", 1)[1])
-        corpus = test_views[0][rng.choice(test_views[0].shape[0],
-                                          size=min(n, test_views[0].shape[0]),
-                                          replace=False)]
+        corpus = _sample_rows(rng, test_views[0],
+                              int(corpus_spec.split(":", 1)[1]))
     elif isinstance(corpus_spec, list):
         corpus = np.asarray(corpus_spec, dtype=np.float64)
     else:
         raise ConfigError("fuzz.corpus must be 'sample:N' or an array")
     benign = test_views[1:]
-    tiny_rows = np.concatenate(benign, axis=1)
-    tiny = sample_tiny(tiny_rows, min(dspec.get("tiny_size", 20),
-                                      tiny_rows.shape[0]),
-                       seed=dspec.get("tiny_seed", 5))
+    tiny = _tiny_sample(cfg, benign)
     bound = default_bound(train_views[0], fz.get("bound_multiplier", 1.0))
     camp = CampaignConfig(
         max_iter=fz.get("max_iter", 5000), energy=fz.get("energy", 20),
@@ -374,9 +392,7 @@ def cmd_variance(cfg: dict, args) -> int:
     report.rows.append({"quantity": "relu_output_variance",
                         "analytic": relu_an, "monte_carlo": relu_mc,
                         "gap": abs(relu_an - relu_mc)})
-    stem = assessment.report_filename("variance", seed, "")[:-1]
-    report.write_json(out / f"{stem}.json")
-    report.write_csv(out / f"{stem}.csv")
+    _write_report(out, "variance", report)
     print(f"variance: sigmoid analytic={analytic:.6f} mc={mc:.6f} "
           f"gap={abs(analytic-mc):.6f}; relu analytic={relu_an:.6f} "
           f"mc={relu_mc:.6f} gap={abs(relu_an-relu_mc):.6f}")
@@ -390,18 +406,11 @@ def cmd_svd(cfg: dict, args) -> int:
     svd_cfg = cfg.get("svd", {})
     h = svd_cfg.get("h", 200)
     ks = svd_cfg.get("ks", [1, 5, 10])
-    scfg_base = dict(cfg.get("synthesis", {}))
-    scfg_base.pop("n_inputs", None)
-    scfg_base.pop("bound_multiplier", None)
-    scfg = SynthesisConfig(**scfg_base)
+    scfg = _synthesis_config(cfg, args, train_views[0])
     rng = np.random.default_rng(cfg["seed"])
     benign = test_views[1:]
-    all_benign = np.concatenate(benign, axis=1)
-    rows = all_benign[rng.choice(all_benign.shape[0],
-                                 size=min(h, all_benign.shape[0]),
-                                 replace=False)]
+    rows = _sample_rows(rng, np.concatenate(benign, axis=1), h)
     x_star = test_views[0][int(rng.integers(test_views[0].shape[0]))]
-    from .synthesis import JointEvaluator
     ev = JointEvaluator(system, benign)
     majority, _ = ev.majority_label(x_star)
     target = (majority + svd_cfg.get("target_offset", 3)) % system.n_classes
@@ -417,9 +426,7 @@ def cmd_svd(cfg: dict, args) -> int:
         k = min(int(k), study.matrix.shape[1])
         rate = assessment.reconstruct_and_rate(study, k, system, benign)
         report.rows.append({"k": k, "reconstruction_rate": rate})
-    stem = assessment.report_filename("svd", cfg["seed"], "")[:-1]
-    report.write_json(out / f"{stem}.json")
-    report.write_csv(out / f"{stem}.csv")
+    _write_report(out, "svd", report)
     np.savetxt(out / "singular_values.csv",
                np.stack([spectrum, baseline[:len(spectrum)]], axis=1),
                delimiter=",", header="perturbations,random_baseline",
@@ -436,8 +443,10 @@ def cmd_sweep(cfg: dict, args) -> int:
     ds = _load_dataset(cfg)
     sweep = cfg.get("sweep", {})
     kind = sweep.get("kind", "ratio")
-    synth_conf = dict(sweep.get("synthesis", {}))
-    scfg = SynthesisConfig(**synth_conf) if synth_conf else SynthesisConfig()
+    # The sweeps bound each split by its own adversary view; until then the
+    # whole feature matrix stands in for it.
+    scfg = _synthesis_config({"synthesis": sweep.get("synthesis", {})}, args,
+                             ds.features)
     train_cfg = {
         "local_hidden": cfg.get("model", {}).get("local_hidden", [128, 64]),
         "top_hidden": cfg.get("model", {}).get("top_hidden", [64]),
@@ -460,9 +469,7 @@ def cmd_sweep(cfg: dict, args) -> int:
             n_synth=sweep.get("n_synth", 40), seed=cfg["seed"])
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    stem = assessment.report_filename(f"sweep-{kind}", cfg["seed"], "")[:-1]
-    report.write_json(out / f"{stem}.json")
-    report.write_csv(out / f"{stem}.csv")
+    _write_report(out, f"sweep-{kind}", report)
     key = "ratio" if kind == "ratio" else "participants"
     cells = " ".join(f"{r[key]}:{r.get('synthesis_success', r.get('success_random', 0)):.2f}"
                      for r in report.rows)

@@ -18,9 +18,10 @@ import numpy as np
 from .model import as_matrix, as_vector, backward as model_backward, \
     forward as model_forward
 from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
-                       coordinator_backward, joint_backward, joint_forward,
+                       coordinator_backward, joint_forward,
                        predicted_labels, _coordinator_forward, _JointTrace)
-from .synthesis import AdiCandidate, JointEvaluator, _as_benign_views
+from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
+                        spread_input_grads, _as_benign_views)
 
 
 @dataclass
@@ -71,13 +72,7 @@ class SaliencyCalibration:
 
 def participant_saliency_l1(system: VFLSystem, views) -> np.ndarray:
     """Row-wise saliency L1 per participant: (n, m) array."""
-    jt = joint_forward(system, views)
-    if jt.probs.shape[1] == 1:
-        gp = np.ones_like(jt.probs)
-    else:
-        c = jt.probs.shape[1]
-        gp = (2.0 / c) * (jt.probs - jt.probs.mean(axis=1, keepdims=True))
-    grads, _, _ = joint_backward(system, jt, gp)
+    grads = spread_input_grads(system, views)
     return np.stack([np.abs(g).sum(axis=1) for g in grads], axis=1)
 
 
@@ -333,12 +328,7 @@ def _coop_joint(system: VFLSystem, adv_local: np.ndarray, benign_locals):
     locals_ = [adv_rep] + ben_rep
     probs, coord_trace = _coordinator_forward(system, locals_)
     jt = _JointTrace([], locals_, coord_trace, probs)
-    if probs.shape[1] == 1:
-        gp = np.ones_like(probs)
-    else:
-        c = probs.shape[1]
-        gp = (2.0 / c) * (probs - probs.mean(axis=1, keepdims=True))
-    branch_grads, _ = coordinator_backward(system, jt, gp)
+    branch_grads, _ = coordinator_backward(system, jt, spread_grad(probs))
     return probs.reshape(n_adv, n_ben, -1), [
         g.reshape(n_adv, n_ben, -1) for g in branch_grads]
 

@@ -194,9 +194,9 @@ class SgdMomentum:
             raise ValueError("momentum must lie in [0, 1)")
         self.lr = lr
         self.momentum = momentum
-        self._velocity: dict[tuple[int, int, str], np.ndarray] = {}
+        self._velocity: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: LocalModel, param_grads, model_id: int = 0):
+    def step(self, model: LocalModel, param_grads):
         """Apply one update in place: v <- m*v + g; p <- p - lr*v."""
         for i, (layer, pg) in enumerate(zip(model.layers, param_grads)):
             if pg is None:
@@ -206,22 +206,13 @@ class SgdMomentum:
                 raise ValueError("gradient shapes do not match parameters")
             for name, param, grad in (("w", layer.weights, grad_w),
                                       ("b", layer.bias, grad_b)):
-                key = (model_id, i, name)
+                key = (i, name)
                 vel = self._velocity.get(key)
                 if vel is None:
                     vel = np.zeros_like(param)
                 vel = self.momentum * vel + grad
                 self._velocity[key] = vel
                 param -= self.lr * vel
-
-
-def sgd_step(model: LocalModel, param_grads, lr: float, momentum: float = 0.0,
-             state: SgdMomentum | None = None) -> SgdMomentum:
-    """One-shot convenience around SgdMomentum; returns the optimizer state."""
-    if state is None:
-        state = SgdMomentum(lr, momentum)
-    state.step(model, param_grads)
-    return state
 
 
 @dataclass

@@ -225,13 +225,6 @@ def joint_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     return input_grads, local_param_grads, coord_grad
 
 
-def input_gradients(system: VFLSystem, views, grad_probs,
-                    from_logits: bool = False) -> list[np.ndarray]:
-    jt = joint_forward(system, views)
-    grads, _, _ = joint_backward(system, jt, grad_probs, from_logits=from_logits)
-    return grads
-
-
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
@@ -244,28 +237,40 @@ def _epoch_batches(n: int, batch: int, rng: np.random.Generator):
         yield order[start:start + batch]
 
 
-def _train_linear(views, labels, n_classes: int, epochs: int, lr: float,
-                  batch: int, seed: int, momentum: float):
+def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
+         n_classes: int, epochs: int, lr: float, batch: int, seed: int,
+         momentum: float):
+    """Fresh participants, one per view, trained with the coordinator by
+    mini-batch momentum SGD on the joint cross-entropy.
+
+    The protocols differ only in the coordinator's step: plain SGD on the
+    logistic bias, momentum SGD on the split top model. Returns the system
+    and the per-epoch mean loss.
+    """
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    if lr < 0:
-        raise ValueError("lr must be non-negative")
-    out_dim = 1 if n_classes == 2 else n_classes
-    rng = np.random.default_rng(seed)
     participants = []
     offset = 0
-    for i, view in enumerate(views):
-        view = as_matrix(view)
-        model = init_model([view.shape[1], out_dim], seed=seed + 1000 * (i + 1))
+    for i, (view, dims) in enumerate(zip(views, local_dims)):
+        width = as_matrix(view).shape[1]
+        if dims[0] != width:
+            raise ValueError(f"local model {i} input dim {dims[0]} != view width "
+                             f"{width}")
+        model = init_model(dims, "relu", seed=seed + 1000 * (i + 1))
         name = "A" if i == 0 else f"B{i}"
         participants.append(Participant(
-            name, list(range(offset, offset + view.shape[1])), model))
-        offset += view.shape[1]
-    coord = Coordinator("heterolr", bias=np.zeros(out_dim))
+            name, list(range(offset, offset + width)), model))
+        offset += width
     system = VFLSystem(participants, coord, n_classes)
 
     views = _check_views(system, views)
     n = views[0].shape[0]
+    if lr < 0:
+        raise ValueError("lr must be non-negative")
+    scalar = coord.kind == "heterolr" and system.output_dim == 1
+    rng = np.random.default_rng(seed)
     opts = [SgdMomentum(lr, momentum) for _ in participants] if lr > 0 else None
+    top_opt = SgdMomentum(lr, momentum) \
+        if lr > 0 and coord.kind == "splitnn" else None
     history = []
     eps = 1e-12
     for _ in range(epochs):
@@ -276,23 +281,37 @@ def _train_linear(views, labels, n_classes: int, epochs: int, lr: float,
             jt = joint_forward(system, batch_views)
             p = jt.probs
             m = len(idx)
-            if out_dim == 1:
+            if scalar:
                 pc = np.clip(p[:, 0], eps, 1 - eps)
                 epoch_loss -= float(np.sum(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
                 grad_score = ((p[:, 0] - y) / m)[:, None]
             else:
                 pc = np.clip(p[np.arange(m), y], eps, 1.0)
                 epoch_loss -= float(np.sum(np.log(pc)))
-                grad_score = (p - _one_hot(y, out_dim)) / m
+                # Softmax + CE collapse: gradient on the final logits.
+                grad_score = (p - _one_hot(y, p.shape[1])) / m
             if opts is None:
                 continue
             _, param_grads, coord_grad = joint_backward(
                 system, jt, grad_score, with_params=True, from_logits=True)
-            for part, pg, opt in zip(system.participants, param_grads, opts):
+            for part, pg, opt in zip(participants, param_grads, opts):
                 opt.step(part.model, pg)
-            coord.bias -= lr * coord_grad
+            if top_opt is None:
+                coord.bias -= lr * coord_grad
+            else:
+                top_opt.step(coord.top_model, coord_grad)
         history.append(epoch_loss / n)
     return system, history
+
+
+def _train_linear(views, labels, n_classes: int, epochs: int, lr: float,
+                  batch: int, seed: int, momentum: float):
+    if len(views) < 2:
+        raise ValueError("need at least two participant views")
+    out_dim = 1 if n_classes == 2 else n_classes
+    return _fit(views, labels, [[np.shape(v)[-1], out_dim] for v in views],
+                Coordinator("heterolr", bias=np.zeros(out_dim)), n_classes,
+                epochs, lr, batch, seed, momentum)
 
 
 def train_heterolr(views, labels, epochs: int = 30, lr: float = 0.05,
@@ -301,8 +320,6 @@ def train_heterolr(views, labels, epochs: int = 30, lr: float = 0.05,
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if not set(np.unique(labels)) <= {0, 1}:
         raise ValueError("logistic protocol requires binary {0,1} labels")
-    if len(views) < 2:
-        raise ValueError("need at least two participant views")
     return _train_linear(views, labels, 2, epochs, lr, batch, seed, momentum)
 
 
@@ -312,10 +329,19 @@ def train_linear_joint(views, labels, n_classes: int, epochs: int = 30,
     """Multi-class variant: summed linear scores under a softmax head."""
     if n_classes < 3:
         raise ValueError("use train_heterolr for binary tasks")
-    if len(views) < 2:
-        raise ValueError("need at least two participant views")
     return _train_linear(views, labels, n_classes, epochs, lr, batch, seed,
                          momentum)
+
+
+def splitnn_architecture(views, local_hidden: list[int],
+                         top_hidden: list[int],
+                         n_classes: int) -> tuple[list[list[int]], list[int]]:
+    """Layer widths for train_splitnn: each party's MLP maps its view
+    through ``local_hidden``; the top model maps their concatenated outputs
+    through ``top_hidden`` to the classes."""
+    local_dims = [[np.shape(v)[1]] + list(local_hidden) for v in views]
+    top_dims = [sum(d[-1] for d in local_dims)] + list(top_hidden) + [n_classes]
+    return local_dims, top_dims
 
 
 def train_splitnn(views, labels, local_dims: list[list[int]],
@@ -326,55 +352,13 @@ def train_splitnn(views, labels, local_dims: list[list[int]],
     n_classes = int(labels.max()) + 1
     if len(views) != len(local_dims):
         raise ValueError("one architecture per participant view required")
-    participants = []
-    offset = 0
-    for i, (view, dims) in enumerate(zip(views, local_dims)):
-        view = as_matrix(view)
-        if dims[0] != view.shape[1]:
-            raise ValueError(f"local model {i} input dim {dims[0]} != view width "
-                             f"{view.shape[1]}")
-        model = init_model(dims, "relu", seed=seed + 1000 * (i + 1))
-        name = "A" if i == 0 else f"B{i}"
-        participants.append(Participant(
-            name, list(range(offset, offset + view.shape[1])), model))
-        offset += view.shape[1]
     if top_dims[0] != sum(d[-1] for d in local_dims):
         raise ValueError("top model input must equal summed local output dims")
     if top_dims[-1] != n_classes:
         raise ValueError("top model output must equal the class count")
     top = init_model(top_dims, "relu", head="softmax", seed=seed + 7)
-    system = VFLSystem(participants, Coordinator("splitnn", top_model=top),
-                       n_classes)
-
-    views = _check_views(system, views)
-    n = views[0].shape[0]
-    if lr < 0:
-        raise ValueError("lr must be non-negative")
-    rng = np.random.default_rng(seed)
-    opts = [SgdMomentum(lr, momentum) for _ in participants] if lr > 0 else None
-    top_opt = SgdMomentum(lr, momentum) if lr > 0 else None
-    history = []
-    eps = 1e-12
-    for _ in range(epochs):
-        epoch_loss = 0.0
-        for idx in _epoch_batches(n, batch, rng):
-            batch_views = [v[idx] for v in views]
-            y = labels[idx]
-            jt = joint_forward(system, batch_views)
-            m = len(idx)
-            pc = np.clip(jt.probs[np.arange(m), y], eps, 1.0)
-            epoch_loss -= float(np.sum(np.log(pc)))
-            if opts is None:
-                continue
-            # Softmax + CE collapse: gradient on the final logits.
-            grad_logits = (jt.probs - _one_hot(y, n_classes)) / m
-            _, param_grads, top_params = joint_backward(
-                system, jt, grad_logits, with_params=True, from_logits=True)
-            top_opt.step(system.coordinator.top_model, top_params)
-            for part, pg, opt in zip(system.participants, param_grads, opts):
-                opt.step(part.model, pg)
-        history.append(epoch_loss / n)
-    return system, history
+    return _fit(views, labels, local_dims, Coordinator("splitnn", top_model=top),
+                n_classes, epochs, lr, batch, seed, momentum)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:

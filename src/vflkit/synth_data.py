@@ -15,7 +15,7 @@ import csv
 
 import numpy as np
 
-from .data import Dataset, write_idx
+from .data import Dataset
 
 CREDIT_N = 30_000
 CREDIT_D = 23
@@ -181,16 +181,6 @@ def make_digits_like(n: int, seed: int = 13,
     names = [f"px{r:02d}_{c:02d}" for r in range(DIGITS_SIDE)
              for c in range(DIGITS_SIDE)]
     return Dataset(features, labels, names)
-
-
-def write_digits_idx(train_images, train_labels, test_images, test_labels,
-                     n_train: int = DIGITS_N_TRAIN, n_test: int = DIGITS_N_TEST,
-                     seed: int = 13):
-    """Generate and persist the digit stand-in as IDX image/label files."""
-    train = make_digits_like(n_train, seed=seed)
-    test = make_digits_like(n_test, seed=seed + 1)
-    write_idx(train_images, train_labels, train.features, train.labels)
-    write_idx(test_images, test_labels, test.features, test.labels)
 
 
 def make_multimodal_like(n: int, seed: int = 17) -> Dataset:

@@ -20,8 +20,7 @@ import numpy as np
 
 from .model import as_matrix, as_vector, forward
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       predicted_labels, _coordinator_forward, _JointTrace,
-                       _sigmoid)
+                       predicted_labels, _coordinator_forward, _JointTrace)
 
 BOUND_FLOOR = 1e-6
 
@@ -117,9 +116,7 @@ def output_spread(output) -> float:
     out = np.asarray(output, dtype=np.float64).ravel()
     if out.size == 0:
         raise ValueError("empty output")
-    if out.size == 1:
-        return float(out[0])
-    return float(np.var(out))
+    return float(_spread_rows(out[None, :])[0])
 
 
 def _spread_rows(probs: np.ndarray) -> np.ndarray:
@@ -128,11 +125,21 @@ def _spread_rows(probs: np.ndarray) -> np.ndarray:
     return np.var(probs, axis=1)
 
 
-def _spread_grad_on_probs(probs_row: np.ndarray) -> np.ndarray:
-    c = probs_row.shape[0]
+def spread_grad(probs: np.ndarray) -> np.ndarray:
+    """Row-wise gradient of the output spread on the joint output: ones for
+    one-dimensional outputs, else (2/c)(p - mean p)."""
+    c = probs.shape[1]
     if c == 1:
-        return np.ones(1)
-    return (2.0 / c) * (probs_row - probs_row.mean())
+        return np.ones_like(probs)
+    return (2.0 / c) * (probs - probs.mean(axis=1, keepdims=True))
+
+
+def spread_input_grads(system: VFLSystem, views) -> list[np.ndarray]:
+    """Row-wise gradient of the joint output's spread on every
+    participant's input: the saliency maps all the attacks steer by."""
+    jt = joint_forward(system, views)
+    grads, _, _ = joint_backward(system, jt, spread_grad(jt.probs))
+    return grads
 
 
 def split_benign(system: VFLSystem, rows, adv_index: int = 0) -> list[np.ndarray]:
@@ -165,8 +172,9 @@ class JointEvaluator:
 
     The fixed sides' local outputs are computed once, so repeated queries
     against the same benign set cost only the varying party's forward plus
-    the top stage. ``adv_index`` selects which participant varies (default:
-    the first, the adversary-side party).
+    the coordinator's own head (``protocol._coordinator_forward``).
+    ``adv_index`` selects which participant varies (default: the first,
+    the adversary-side party).
 
     ``row_trace`` pairs the varying row with one fixed row at a time. It
     uses each fixed row's own single-row local outputs, which are computed
@@ -219,19 +227,11 @@ class JointEvaluator:
         x_adv = as_vector(x_adv, len(part.columns))
         local_a = forward(part.model, x_adv[None, :])[0]
         if self.system.protocol == "heterolr":
-            score = local_a + self._benign_score + self.system.coordinator.bias
-            if self.system.output_dim == 1:
-                return _sigmoid(score)
-            return _stable_softmax(score)
-        blocks = []
-        fixed = iter(self._fixed_locals)
-        for i in range(len(self.system.participants)):
-            if i == self.adv_index:
-                blocks.append(np.repeat(local_a, self.n, axis=0))
-            else:
-                blocks.append(next(fixed))
-        concat = np.concatenate(blocks, axis=1)
-        return forward(self.system.coordinator.top_model, concat)[0]
+            return _coordinator_forward(
+                self.system, [local_a + self._benign_score])[0]
+        blocks = list(self._fixed_locals)
+        blocks.insert(self.adv_index, np.repeat(local_a, self.n, axis=0))
+        return _coordinator_forward(self.system, blocks)[0]
 
     def labels_for(self, x_adv) -> np.ndarray:
         return predicted_labels(self.probs_for(x_adv))
@@ -244,12 +244,6 @@ class JointEvaluator:
         counts = np.bincount(labels, minlength=self.system.n_classes)
         label = int(counts.argmax())
         return label, float(counts[label] / labels.size)
-
-
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def attack_accuracy(x_adv, system: VFLSystem, l_target: int,
@@ -269,10 +263,8 @@ def default_bound(train_view_adv, multiplier: float = 1.0) -> np.ndarray:
     return np.maximum(var, BOUND_FLOOR) * multiplier
 
 
-def _joint_row(system: VFLSystem, x_adv: np.ndarray,
-               benign_rows: list[np.ndarray]):
-    views = [x_adv[None, :]] + [row[None, :] for row in benign_rows]
-    return joint_forward(system, views)
+def _row_views(x_adv: np.ndarray, benign_rows: list[np.ndarray]):
+    return [x_adv[None, :]] + [row[None, :] for row in benign_rows]
 
 
 def saliency_est(x_adv, system: VFLSystem, benign_rows) -> float:
@@ -280,9 +272,7 @@ def saliency_est(x_adv, system: VFLSystem, benign_rows) -> float:
     features (analytic, full-system backward)."""
     x_adv = as_vector(x_adv)
     benign_rows = [as_vector(r) for r in _rows_of(benign_rows)]
-    jt = _joint_row(system, x_adv, benign_rows)
-    gp = _spread_grad_on_probs(jt.probs[0])[None, :]
-    grads, _, _ = joint_backward(system, jt, gp)
+    grads = spread_input_grads(system, _row_views(x_adv, benign_rows))
     return float(sum(np.abs(g).sum() for g in grads[1:]))
 
 
@@ -306,15 +296,11 @@ def fdm_gradient(fn_batch, x: np.ndarray, delta: float) -> np.ndarray:
     return (vals[1:] - vals[0]) / delta
 
 
-def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
-                     delta: float) -> float:
-    """Blackbox version of saliency_est: forward differences over the benign
-    dimensions, d2 + 1 joint inferences total."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x_adv = as_vector(x_adv)
-    benign_rows = [as_vector(r) for r in _rows_of(benign_rows)]
-    flat = np.concatenate(benign_rows)
+def _benign_spread_fdm(system: VFLSystem, x_adv: np.ndarray,
+                       benign_rows: list[np.ndarray],
+                       delta: float) -> np.ndarray:
+    """Forward-difference gradient of the output spread on the benign rows,
+    flattened across benign participants."""
     widths = [r.shape[0] for r in benign_rows]
 
     def spread_batch(rows):
@@ -326,7 +312,17 @@ def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
             offset += w
         return _spread_rows(joint_forward(system, views).probs)
 
-    grad = fdm_gradient(spread_batch, flat, delta)
+    return fdm_gradient(spread_batch, np.concatenate(benign_rows), delta)
+
+
+def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
+                     delta: float) -> float:
+    """Blackbox version of saliency_est: forward differences over the benign
+    dimensions, d2 + 1 joint inferences total."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    benign_rows = [as_vector(r) for r in _rows_of(benign_rows)]
+    grad = _benign_spread_fdm(system, as_vector(x_adv), benign_rows, delta)
     return float(np.abs(grad).sum())
 
 
@@ -336,17 +332,14 @@ def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
 _CE_FLOOR = 1e-300
 
 
-def _loss_and_logit_grad(probs_row: np.ndarray, l_target: int):
-    """Targeted loss value and its gradient on the pre-activation scores."""
+def _target_logit_grad(probs_row: np.ndarray, l_target: int) -> np.ndarray:
+    """Gradient of the targeted loss on the pre-activation scores."""
     if probs_row.shape[0] == 1:
         p = float(np.clip(probs_row[0], _CE_FLOOR, 1 - 1e-16))
-        y = float(l_target)
-        loss = -(y * np.log(p) + (1 - y) * np.log(1 - p))
-        return loss, np.asarray([[p - y]])
-    p = np.clip(probs_row[l_target], _CE_FLOOR, 1.0)
+        return np.asarray([[p - float(l_target)]])
     grad = probs_row.copy()
     grad[l_target] -= 1.0
-    return float(-np.log(p)), grad[None, :]
+    return grad[None, :]
 
 
 def _loss_rows(probs: np.ndarray, l_target: int) -> np.ndarray:
@@ -357,8 +350,13 @@ def _loss_rows(probs: np.ndarray, l_target: int) -> np.ndarray:
     return -np.log(np.clip(probs[:, l_target], _CE_FLOOR, 1.0))
 
 
-class _Whitebox:
-    """Analytic objective gradients for one benign row."""
+class _Objective:
+    """Objective gradients for one benign row.
+
+    The saliency term's gradient is a central difference of the adversary's
+    spread gradient along the sign of the benign side's spread gradient;
+    subclasses supply both spread gradients and the target-loss gradient.
+    """
 
     def __init__(self, system: VFLSystem, benign_rows, l_target: int,
                  cfg: SynthesisConfig):
@@ -367,41 +365,42 @@ class _Whitebox:
         self.l_target = l_target
         self.cfg = cfg
 
-    def _spread_input_grads(self, x_adv, rows):
-        jt = _joint_row(self.system, x_adv, rows)
-        gp = _spread_grad_on_probs(jt.probs[0])[None, :]
-        grads, _, _ = joint_backward(self.system, jt, gp)
-        return [g[0] for g in grads]
-
-    def loss_grad(self, x_adv):
-        jt = _joint_row(self.system, x_adv, self.rows)
-        _, glogit = _loss_and_logit_grad(jt.probs[0], self.l_target)
-        grads, _, _ = joint_backward(self.system, jt, glogit, from_logits=True)
-        return grads[0][0]
-
     def saliency_grad(self, x_adv):
-        grads = self._spread_input_grads(x_adv, self.rows)
-        dirs = [np.sign(g) for g in grads[1:]]
-        if all(np.all(d == 0) for d in dirs):
+        flat_dir = np.sign(self._benign_spread_grad(x_adv))
+        if np.all(flat_dir == 0):
             return np.zeros_like(x_adv)
         h = self.cfg.hvp_step
-        plus = [r + h * d for r, d in zip(self.rows, dirs)]
-        minus = [r - h * d for r, d in zip(self.rows, dirs)]
-        gp = self._spread_input_grads(x_adv, plus)[0]
-        gm = self._spread_input_grads(x_adv, minus)[0]
+        offset = 0
+        plus, minus = [], []
+        for row in self.rows:
+            d = flat_dir[offset:offset + row.shape[0]]
+            plus.append(row + h * d)
+            minus.append(row - h * d)
+            offset += row.shape[0]
+        gp = self._adv_spread_grad(x_adv, plus)
+        gm = self._adv_spread_grad(x_adv, minus)
         return (gp - gm) / (2.0 * h)
 
 
-class _Blackbox:
-    """Finite-difference objective gradients from joint inferences only."""
+class _Whitebox(_Objective):
+    """Analytic gradients through the full system."""
 
-    def __init__(self, system: VFLSystem, benign_rows, l_target: int,
-                 cfg: SynthesisConfig):
-        self.system = system
-        self.rows = [as_vector(r) for r in _rows_of(benign_rows)]
-        self.l_target = l_target
-        self.cfg = cfg
-        self._widths = [r.shape[0] for r in self.rows]
+    def loss_grad(self, x_adv):
+        jt = joint_forward(self.system, _row_views(x_adv, self.rows))
+        glogit = _target_logit_grad(jt.probs[0], self.l_target)
+        grads, _, _ = joint_backward(self.system, jt, glogit, from_logits=True)
+        return grads[0][0]
+
+    def _benign_spread_grad(self, x_adv):
+        grads = spread_input_grads(self.system, _row_views(x_adv, self.rows))
+        return np.concatenate([g[0] for g in grads[1:]])
+
+    def _adv_spread_grad(self, x_adv, rows):
+        return spread_input_grads(self.system, _row_views(x_adv, rows))[0][0]
+
+
+class _Blackbox(_Objective):
+    """Finite-difference gradients from joint inferences only."""
 
     def _probs_adv_batch(self, adv_batch, rows):
         m = adv_batch.shape[0]
@@ -417,39 +416,13 @@ class _Blackbox:
         return fdm_gradient(fn, x_adv, self.cfg.fdm_step)
 
     def _benign_spread_grad(self, x_adv):
-        flat = np.concatenate(self.rows)
-
-        def fn(batch):
-            m = batch.shape[0]
-            views = [np.repeat(x_adv[None, :], m, axis=0)]
-            offset = 0
-            for w in self._widths:
-                views.append(batch[:, offset:offset + w])
-                offset += w
-            return _spread_rows(joint_forward(self.system, views).probs)
-
-        return fdm_gradient(fn, flat, self.cfg.fdm_step)
+        return _benign_spread_fdm(self.system, x_adv, self.rows,
+                                  self.cfg.fdm_step)
 
     def _adv_spread_grad(self, x_adv, rows):
         def fn(batch):
             return _spread_rows(self._probs_adv_batch(batch, rows))
         return fdm_gradient(fn, x_adv, self.cfg.fdm_step)
-
-    def saliency_grad(self, x_adv):
-        flat_dir = np.sign(self._benign_spread_grad(x_adv))
-        if np.all(flat_dir == 0):
-            return np.zeros_like(x_adv)
-        h = self.cfg.hvp_step
-        offset = 0
-        plus, minus = [], []
-        for row, w in zip(self.rows, self._widths):
-            d = flat_dir[offset:offset + w]
-            plus.append(row + h * d)
-            minus.append(row - h * d)
-            offset += w
-        gp = self._adv_spread_grad(x_adv, plus)
-        gm = self._adv_spread_grad(x_adv, minus)
-        return (gp - gm) / (2.0 * h)
 
 
 def _objective_grads(system, benign_rows, l_target, cfg):

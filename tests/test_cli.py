@@ -181,3 +181,112 @@ class TestTrainingHistories:
         top = system.coordinator.top_model.layers[0]
         golden.check("cli", "history-splitnn", {
             "history": history, "top_bias": top.bias})
+
+
+def _bounded(doc, section="synthesis"):
+    out = json.loads(json.dumps(doc))
+    target = out["sweep"] if section == "sweep" else out
+    target["synthesis"] = {**target["synthesis"], "strategy": "bounded",
+                           "bound_multiplier": 0.5}
+    return out
+
+
+class TestBoundedStrategy:
+    """A bounded strategy in the config gets the training-variance bound."""
+
+    @pytest.mark.parametrize("flags", [(), ("--mode", "blackbox")])
+    def test_synthesize_stays_inside_bound(self, tmp_path, credit_ckpt,
+                                           flags):
+        code, out = _run(tmp_path, _bounded(CREDIT), "synthesize",
+                         "--checkpoint", str(credit_ckpt), *flags)
+        assert code == 0
+        bound = 0.5 * np.maximum(cli._prepared(CREDIT)[0][0].var(axis=0),
+                                 1e-6)
+        candidates = _jsonl(out / "candidates.jsonl")
+        assert len(candidates) == CREDIT["synthesis"]["n_inputs"]
+        for cand in candidates:
+            assert cand["strategy"] == "bounded"
+            assert np.all(np.abs(cand["v"]) <= bound + 1e-12)
+        assert any(np.any(np.abs(c["v"]) > 0) for c in candidates)
+
+    def test_mutation_flag_selects_bounded(self, tmp_path, credit_ckpt):
+        code, out = _run(tmp_path, CREDIT, "synthesize", "--checkpoint",
+                         str(credit_ckpt), "--mutation", "bounded")
+        assert code == 0
+        bound = np.maximum(cli._prepared(CREDIT)[0][0].var(axis=0), 1e-6)
+        for cand in _jsonl(out / "candidates.jsonl"):
+            assert cand["strategy"] == "bounded"
+            assert np.all(np.abs(cand["v"]) <= bound + 1e-12)
+
+    def test_svd(self, tmp_path, digits_ckpt):
+        code, out = _run(tmp_path, _bounded(DIGITS), "svd",
+                         "--checkpoint", str(digits_ckpt))
+        assert code == 0
+        assert _report(out, "svd")["rows"]
+
+    @pytest.mark.parametrize("kind", ["ratio", "participants"])
+    def test_sweep(self, tmp_path, kind):
+        doc = _bounded(DIGITS, "sweep")
+        doc["sweep"]["kind"] = kind
+        code, out = _run(tmp_path, doc, "sweep")
+        assert code == 0
+        assert len(_report(out, f"sweep-{kind}")["rows"]) == \
+            len(doc["sweep"]["ratios" if kind == "ratio" else "counts"])
+
+
+class TestExitCodes:
+    """Configuration errors exit 1 and data errors exit 2, both without a
+    traceback."""
+
+    @staticmethod
+    def _fails(capsys, code, expected, prefix):
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    def test_unknown_strategy(self, tmp_path, capsys, credit_ckpt):
+        doc = {**CREDIT, "synthesis": {**CREDIT["synthesis"],
+                                       "strategy": "nope"}}
+        code, _ = _run(tmp_path, doc, "synthesize",
+                       "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error:")
+
+    def test_unknown_synthesis_key(self, tmp_path, capsys, credit_ckpt):
+        doc = {**CREDIT, "synthesis": {"max_round": 3}}
+        code, _ = _run(tmp_path, doc, "synthesize",
+                       "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error:")
+
+    def test_unknown_sweep_synthesis_key(self, tmp_path, capsys):
+        doc = {**DIGITS, "sweep": {**DIGITS["sweep"],
+                                   "synthesis": {"max_round": 3}}}
+        code, _ = _run(tmp_path, doc, "sweep")
+        self._fails(capsys, code, 1, "config error:")
+
+    def test_checkpoint_missing_key(self, tmp_path, capsys, credit_ckpt):
+        with open(credit_ckpt, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["coordinator"]
+        broken = tmp_path / "broken.json"
+        _write_config(broken, doc)
+        code, _ = _run(tmp_path, CREDIT, "dominance",
+                       "--checkpoint", str(broken))
+        self._fails(capsys, code, 2, "data error:")
+
+    def test_dominance_threshold_outside_unit_interval(self, tmp_path,
+                                                       capsys, credit_ckpt):
+        doc = {**CREDIT, "dominance": {"n_rows": 100, "thresholds": [1.5]}}
+        code, _ = _run(tmp_path, doc, "dominance",
+                       "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error:")
+
+    def test_any_dominance_threshold_in_unit_interval(self, tmp_path,
+                                                      credit_ckpt):
+        doc = {**CREDIT, "dominance": {"n_rows": 100, "thresholds": [0.9]}}
+        code, out = _run(tmp_path, doc, "dominance",
+                         "--checkpoint", str(credit_ckpt))
+        assert code == 0
+        rows = _report(out, "dominance")["rows"]
+        assert [r["threshold"] for r in rows] == [0.9]
+        assert 0.0 <= rows[0]["dominating_rate"] <= 1.0
