@@ -196,22 +196,25 @@ def reconstruct_and_rate(study: PerturbationStudy, k: int, system: VFLSystem,
     return evaluator.attack_accuracy(study.base + projected, study.target)
 
 
-def _split_bound(cfg: SynthesisConfig, train_view_adv) -> SynthesisConfig:
+def _split_bound(cfg: SynthesisConfig, train_view_adv,
+                 multiplier: float) -> SynthesisConfig:
     if cfg.strategy != "bounded":
         return cfg
-    return replace(cfg, bound=default_bound(train_view_adv))
+    return replace(cfg, bound=default_bound(train_view_adv, multiplier))
 
 
 def _sweep(features, labels, specs, train_seeds, train_cfg: dict,
            synth_cfgs, n_dominance: int, n_synth: int, test_fraction: float,
-           seed: int, tiny_seed: int, threshold: float):
+           seed: int, tiny_seed: int, threshold: float,
+           bound_multiplier: float):
     """The skeleton both sweeps share.
 
     Splits the rows into train and test once. Then, per partition spec, it
     trains a split network with that spec's train seed and measures its
     test accuracy and the adversary's dominating rate. It samples adversary
     rows and a benign tiny sample and measures the synthesis success of each
-    config; bounded configs get the bound of that split's adversary view.
+    config; bounded configs get the bound of that split's adversary view,
+    times ``bound_multiplier``.
     Yields (system, test views, accuracy, dominating rate, successes).
     """
     features = as_matrix(features)
@@ -242,7 +245,8 @@ def _sweep(features, labels, specs, train_seeds, train_cfg: dict,
         tiny = sample_tiny(np.concatenate(benign, axis=1), min(20, n_test),
                            seed=tiny_seed)
         successes = [success_rate(system, sample,
-                                  _split_bound(cfg, train_views[0]), tiny,
+                                  _split_bound(cfg, train_views[0],
+                                               bound_multiplier), tiny,
                                   benign, threshold)[0]
                      for cfg in synth_cfgs]
         yield system, test_views, accuracy, dom, successes
@@ -252,9 +256,12 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
                           train_cfg: dict, synth_cfg: SynthesisConfig,
                           n_dominance: int = 300, n_synth: int = 40,
                           test_fraction: float = 0.2, seed: int = 0,
-                          thresholds=(0.95,)) -> ExperimentReport:
+                          thresholds=(0.95,),
+                          bound_multiplier: float = 1.0) -> ExperimentReport:
     """Accuracy, per-side dominance, and synthesis success across feature
-    partition ratios. ``image_side`` switches to pixel-column partitioning."""
+    partition ratios. ``image_side`` switches to pixel-column partitioning.
+    A bounded ``synth_cfg`` is bounded per split by the adversary view's
+    feature variance times ``bound_multiplier``."""
     t0 = time.time()
     report = ExperimentReport(
         "partition-ratio-sweep",
@@ -275,7 +282,7 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
     cells = _sweep(features, labels, specs,
                    [seed + int(ratio * 100) for ratio in ratios], train_cfg,
                    [synth_cfg], n_dominance, n_synth, test_fraction, seed,
-                   seed + 1, thresholds[0])
+                   seed + 1, thresholds[0], bound_multiplier)
     for ratio, (system, test_views, accuracy, dom_a, successes) in \
             zip(ratios, cells):
         view_a, view_b = test_views
@@ -296,9 +303,11 @@ def participants_sweep(features, labels, counts, train_cfg: dict,
                        synth_bounded: SynthesisConfig | None = None,
                        n_dominance: int = 300, n_synth: int = 40,
                        test_fraction: float = 0.2, seed: int = 0,
-                       threshold: float = 0.95) -> ExperimentReport:
+                       threshold: float = 0.95,
+                       bound_multiplier: float = 1.0) -> ExperimentReport:
     """Accuracy, dominance, and synthesis success for 2/3/5-party splits of
-    28x28 image data."""
+    28x28 image data. Bounded configs are bounded per split by the
+    adversary view's feature variance times ``bound_multiplier``."""
     t0 = time.time()
     columns = ["participants", "accuracy", "dominating_rate",
                "success_random"]
@@ -314,7 +323,7 @@ def participants_sweep(features, labels, counts, train_cfg: dict,
     cells = _sweep(features, labels, [mnist_column_split(m) for m in counts],
                    [seed + m for m in counts], train_cfg, synth_cfgs,
                    n_dominance, n_synth, test_fraction, seed, seed + 2,
-                   threshold)
+                   threshold, bound_multiplier)
     for m, (_, _, accuracy, dom, successes) in zip(counts, cells):
         report.rows.append(dict(zip(columns,
                                     [int(m), accuracy, dom, *successes])))

@@ -335,14 +335,18 @@ def cmd_fuzz(cfg: dict, args) -> int:
         raise ConfigError("fuzz.corpus must be 'sample:N' or an array")
     benign = test_views[1:]
     tiny = _tiny_sample(cfg, benign)
-    bound = default_bound(train_views[0], fz.get("bound_multiplier", 1.0))
-    camp = CampaignConfig(
-        max_iter=fz.get("max_iter", 5000), energy=fz.get("energy", 20),
-        mask_weight=fz.get("mask_weight", 0.2),
-        stable_fraction=fz.get("stable_fraction", 1.0),
-        bound=bound, noise_std_factor=fz.get("noise_std_factor", 0.1),
-        budget_secs=None if budget_mins is None else 60.0 * float(budget_mins),
-        seed=cfg["seed"])
+    try:
+        bound = default_bound(train_views[0], fz.get("bound_multiplier", 1.0))
+        camp = CampaignConfig(
+            max_iter=fz.get("max_iter", 5000), energy=fz.get("energy", 20),
+            mask_weight=fz.get("mask_weight", 0.2),
+            stable_fraction=fz.get("stable_fraction", 1.0),
+            bound=bound, noise_std_factor=fz.get("noise_std_factor", 0.1),
+            budget_secs=None if budget_mins is None
+            else 60.0 * float(budget_mins),
+            seed=cfg["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fuzz: {exc}") from None
     calib = calibrate_saliency(system, train_views)
     result = fuzz_campaign(corpus, system, [tiny.rows], camp, benign, calib)
     write_candidates(result.adis, out / "adis.jsonl")
@@ -445,8 +449,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     kind = sweep.get("kind", "ratio")
     # The sweeps bound each split by its own adversary view; until then the
     # whole feature matrix stands in for it.
-    scfg = _synthesis_config({"synthesis": sweep.get("synthesis", {})}, args,
-                             ds.features)
+    synth = sweep.get("synthesis", {})
+    scfg = _synthesis_config({"synthesis": synth}, args, ds.features)
+    mult = synth.get("bound_multiplier", 1.0)
     train_cfg = {
         "local_hidden": cfg.get("model", {}).get("local_hidden", [128, 64]),
         "top_hidden": cfg.get("model", {}).get("top_hidden", [64]),
@@ -460,13 +465,15 @@ def cmd_sweep(cfg: dict, args) -> int:
             ds.features, ds.labels, ratios,
             cfg.get("partition", {}).get("image_side", 28), train_cfg, scfg,
             n_dominance=sweep.get("n_dominance", 300),
-            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"])
+            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"],
+            bound_multiplier=mult)
     elif kind == "participants":
         counts = sweep.get("counts", [2, 3, 5])
         report = assessment.participants_sweep(
             ds.features, ds.labels, counts, train_cfg, scfg,
             n_dominance=sweep.get("n_dominance", 300),
-            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"])
+            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"],
+            bound_multiplier=mult)
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     _write_report(out, f"sweep-{kind}", report)

@@ -19,7 +19,8 @@ from .model import as_matrix, as_vector, backward as model_backward, \
     forward as model_forward
 from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
                        coordinator_backward, joint_forward,
-                       predicted_labels, _coordinator_forward, _JointTrace)
+                       party_input_grads, predicted_labels,
+                       _coordinator_forward, _JointTrace)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
                         spread_input_grads, _as_benign_views)
 
@@ -109,9 +110,7 @@ def _target_mask(system: VFLSystem, jt: _JointTrace, idx: int,
     else:
         glogit = np.zeros_like(jt.probs)
         glogit[:, label] = 1.0
-    branch_grads, _ = coordinator_backward(system, jt, glogit, from_logits=True)
-    _, grad = model_backward(system.participants[idx].model,
-                             jt.local_traces[idx], branch_grads[idx])
+    grad = party_input_grads(system, jt, glogit, [idx], from_logits=True)[0]
     mask = np.abs(grad[0])
     peak = mask.max()
     return mask / peak if peak > 0 else mask
@@ -383,7 +382,8 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
         for part, view, g in zip(system.participants[1:], s_views,
                                  branch_grad_row):
             _, trace = model_forward(part.model, view[index_b:index_b + 1])
-            _, ig = model_backward(part.model, trace, g[None, :])
+            _, ig = model_backward(part.model, trace, g[None, :],
+                                   with_params=False)
             scores.append((part.id, float(np.abs(ig).sum())))
         return scores
 
@@ -424,7 +424,8 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
             # side reports its original scores.
             adv_scores = []
             for trace, g in zip(noised_traces, branch[0][:, 0, :]):
-                _, ig = model_backward(adv.model, trace, g[None, :])
+                _, ig = model_backward(adv.model, trace, g[None, :],
+                                       with_params=False)
                 adv_scores.append(float(np.abs(ig).sum()))
             best_idx = int(np.argmax(adv_scores))
             score_orig_a = adv_scores[best_idx]
@@ -441,7 +442,8 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
             # Step 6: adversary masks its best variant and resubmits.
             best_row = noised[best_idx]
             _, ig = model_backward(adv.model, noised_traces[best_idx],
-                                   branch[0][best_idx, 0][None, :])
+                                   branch[0][best_idx, 0][None, :],
+                                   with_params=False)
             mask = np.abs(ig[0])
             peak = mask.max()
             if peak > 0:
@@ -461,7 +463,8 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
                 send("7", "C", part.id, "gradient_wrt_local_output", g[:, 0, :])
 
             # Step 8: both sides report masked saliency scores.
-            _, ig = model_backward(adv.model, masked_trace, branch_m[0][0, 0][None, :])
+            _, ig = model_backward(adv.model, masked_trace,
+                                   branch_m[0][0, 0][None, :], with_params=False)
             score_masked_a = float(np.abs(ig).sum())
             send("8", adv.id, "C", "saliency_score", [score_masked_a])
             per_benign_m = benign_scores(index_b, [g[0, 0] for g in branch_m[1:]])

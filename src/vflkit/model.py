@@ -144,13 +144,14 @@ def forward(model: LocalModel, x) -> tuple[np.ndarray, ForwardTrace]:
     return x, trace
 
 
-def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray):
+def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray,
+                    with_params: bool):
     """Returns (grad_in, param_grads or None) for one layer."""
     if layer.kind == "linear":
         grad_in = grad_out @ layer.weights
-        grad_w = grad_out.T @ x
-        grad_b = grad_out.sum(axis=0)
-        return grad_in, (grad_w, grad_b)
+        if not with_params:
+            return grad_in, None
+        return grad_in, (grad_out.T @ x, grad_out.sum(axis=0))
     if layer.kind == "relu":
         return grad_out * (x > 0), None
     if layer.kind == "sigmoid":
@@ -162,13 +163,14 @@ def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray):
 
 
 def backward(model: LocalModel, trace: ForwardTrace, grad_output,
-             n_skip_top: int = 0):
+             n_skip_top: int = 0, with_params: bool = True):
     """Backpropagate an output gradient through the stack.
 
     Returns (param_grads, input_grad) where param_grads is a per-layer list
-    of (grad_w, grad_b) tuples (None for activation layers). ``n_skip_top``
-    starts propagation below the top-most layers, which lets callers take
-    gradients of pre-activation logits.
+    of (grad_w, grad_b) tuples (None for activation layers, and for every
+    layer when ``with_params`` is False). ``n_skip_top`` starts propagation
+    below the top-most layers, which lets callers take gradients of
+    pre-activation logits.
     """
     grad = as_matrix(grad_output)
     start = len(model.layers) - 1 - n_skip_top
@@ -179,7 +181,8 @@ def backward(model: LocalModel, trace: ForwardTrace, grad_output,
             f"({trace.inputs[0].shape[0]}, {expected})")
     param_grads: list = [None] * len(model.layers)
     for i in range(start, -1, -1):
-        grad, pg = _layer_backward(model.layers[i], trace.inputs[i], grad)
+        grad, pg = _layer_backward(model.layers[i], trace.inputs[i], grad,
+                                   with_params)
         param_grads[i] = pg
     return param_grads, grad
 

@@ -178,12 +178,13 @@ def _activation_backward(probs: np.ndarray, grad_probs: np.ndarray,
 
 
 def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
-                         from_logits: bool = False):
+                         from_logits: bool = False, with_params: bool = False):
     """Gradient at the local-output boundary: what the coordinator can send
     back to each participant without touching local models.
 
     Returns (branch_grads, coord_grad) where coord_grad is the bias gradient
-    (logistic) or the top-model param grads (split). ``from_logits`` treats
+    (logistic) or the top-model param grads (split), computed only when
+    ``with_params`` is set and None otherwise. ``from_logits`` treats
     grad_probs as a gradient on pre-activation scores.
     """
     grad = as_matrix(grad_probs)
@@ -191,38 +192,51 @@ def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     if coord.kind == "heterolr":
         grad_score = grad if from_logits else _activation_backward(
             jt.probs, grad, scalar=system.output_dim == 1)
-        coord_grad = grad_score.sum(axis=0)
+        coord_grad = grad_score.sum(axis=0) if with_params else None
         branch_grads = [grad_score] * len(system.participants)
         return branch_grads, coord_grad
     skip = 1 if from_logits and coord.top_model.layers[-1].kind in (
         "softmax", "sigmoid") else 0
     top_params, grad_concat = backward(coord.top_model, jt.coord_trace,
-                                       grad, n_skip_top=skip)
+                                       grad, n_skip_top=skip,
+                                       with_params=with_params)
     branch_grads = []
     offset = 0
     for part in system.participants:
         width = part.model.output_dim
         branch_grads.append(grad_concat[:, offset:offset + width])
         offset += width
-    return branch_grads, top_params
+    return branch_grads, top_params if with_params else None
 
 
 def joint_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
                    with_params: bool = False, from_logits: bool = False):
     """Backpropagate from the joint output to every participant's input.
 
-    Returns (input_grads, local_param_grads, coord_grad); see
-    coordinator_backward for the coordinator-side split.
+    Returns (input_grads, local_param_grads, coord_grad); parameter
+    gradients are computed only when ``with_params`` is set and are None
+    otherwise. See coordinator_backward for the coordinator-side split.
     """
     branch_grads, coord_grad = coordinator_backward(system, jt, grad_probs,
-                                                    from_logits)
+                                                    from_logits, with_params)
     input_grads = []
     local_param_grads = []
     for part, trace, bg in zip(system.participants, jt.local_traces, branch_grads):
-        pg, ig = backward(part.model, trace, bg)
+        pg, ig = backward(part.model, trace, bg, with_params=with_params)
         input_grads.append(ig)
         local_param_grads.append(pg if with_params else None)
     return input_grads, local_param_grads, coord_grad
+
+
+def party_input_grads(system: VFLSystem, jt: _JointTrace, grad_probs,
+                      parties, from_logits: bool = False) -> list[np.ndarray]:
+    """Input gradients of the listed participants only: the coordinator's
+    backward, then the local backward of each listed participant, with no
+    parameter gradients. Only those participants need a trace in ``jt``.
+    Each gradient equals the matching entry of ``joint_backward``'s."""
+    branch_grads, _ = coordinator_backward(system, jt, grad_probs, from_logits)
+    return [backward(system.participants[i].model, jt.local_traces[i],
+                     branch_grads[i], with_params=False)[1] for i in parties]
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

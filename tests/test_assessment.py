@@ -5,8 +5,8 @@ import numpy as np
 import golden
 from vflkit import synth_data
 from vflkit.assessment import (participants_sweep, partition_ratio_sweep,
-                               reward_shares)
-from vflkit.synthesis import SynthesisConfig
+                               reward_shares, _split_bound)
+from vflkit.synthesis import SynthesisConfig, default_bound
 
 TRAIN = {"local_hidden": [16], "top_hidden": [16], "epochs": 4, "lr": 0.1,
          "batch": 32}
@@ -50,3 +50,25 @@ def test_participants_sweep_with_both_strategies():
                                 random, bounded, n_dominance=40, n_synth=3,
                                 seed=3)
     golden.check("assessment", "participants-sweep-both", _rows(report))
+
+
+def test_split_bound_carries_the_multiplier():
+    view = np.random.default_rng(4).standard_normal((50, 6))
+    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1))
+    for mult in (0.01, 1.0, 100.0):
+        bound = _split_bound(cfg, view, mult).bound
+        assert bound.tobytes() == default_bound(view, mult).tobytes()
+    random = SynthesisConfig()
+    assert _split_bound(random, view, 100.0) is random
+
+
+def test_ratio_sweep_honours_the_bound_multiplier():
+    ds = synth_data.make_vehicle_like(300)
+    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1), max_rounds=4,
+                          inner_steps=3, inner_lr=0.5)
+    rows = {mult: partition_ratio_sweep(ds.features, ds.labels, [0.5, 2.0],
+                                        None, TRAIN, cfg, n_dominance=40,
+                                        n_synth=3, seed=2,
+                                        bound_multiplier=mult).rows
+            for mult in (0.01, 100.0)}
+    assert rows[0.01] != rows[100.0]

@@ -290,3 +290,10 @@ class TestExitCodes:
         rows = _report(out, "dominance")["rows"]
         assert [r["threshold"] for r in rows] == [0.9]
         assert 0.0 <= rows[0]["dominating_rate"] <= 1.0
+
+    @pytest.mark.parametrize("key, value", [("energy", 0),
+                                            ("mask_weight", 2)])
+    def test_bad_fuzz_value(self, tmp_path, capsys, credit_ckpt, key, value):
+        doc = {**CREDIT, "fuzz": {**CREDIT["fuzz"], key: value}}
+        code, _ = _run(tmp_path, doc, "fuzz", "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error: fuzz:")

@@ -133,6 +133,19 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, trace, [[1.0, 2.0, 3.0]])
 
+    def test_without_params_same_input_grad(self):
+        model = init_model([5, 7, 3], "relu", head="softmax", seed=4)
+        rng = np.random.default_rng(2)
+        out, trace = forward(model, rng.standard_normal((3, 5)))
+        g = rng.standard_normal(out.shape)
+        for skip in (0, 1):
+            with_pg, ig = backward(model, trace, g, n_skip_top=skip)
+            no_pg, ig_no = backward(model, trace, g, n_skip_top=skip,
+                                    with_params=False)
+            assert ig_no.tobytes() == ig.tobytes()
+            assert no_pg == [None] * len(model.layers)
+            assert with_pg[0] is not None
+
 
 class TestGradCheck:
     def test_linear_model_exact(self):

@@ -6,8 +6,10 @@ import pytest
 from vflkit.model import LayerSpec, LocalModel, forward
 from vflkit.protocol import (AuditError, Coordinator, Participant,
                              ProtocolMessage, VFLSystem, audit_trace, auc_roc,
-                             evaluate, joint_inference, local_output,
-                             predicted_labels, run_with_trace, save_system,
+                             coordinator_backward, evaluate, joint_backward,
+                             joint_forward, joint_inference, local_output,
+                             party_input_grads, predicted_labels,
+                             run_with_trace, save_system,
                              load_system, system_from_dict, system_to_dict,
                              train_heterolr, train_linear_joint,
                              train_splitnn, write_trace_log)
@@ -298,3 +300,27 @@ class TestSystemCheckpoint:
         doc["version"] = 123
         with pytest.raises(ValueError, match="version"):
             system_from_dict(doc)
+
+
+class TestBackwardWithoutParams:
+    """Input gradients do not depend on whether parameter gradients are
+    asked for, and one party's gradient equals joint_backward's entry."""
+
+    @pytest.mark.parametrize("setup", ["credit_setup", "digits_setup"])
+    def test_same_input_grads(self, setup, request):
+        s = request.getfixturevalue(setup)
+        system = s["system"]
+        jt = joint_forward(system, [v[:4] for v in s["test_views"]])
+        g = np.random.default_rng(3).standard_normal(jt.probs.shape)
+        for from_logits in (False, True):
+            full, pgs, coord = joint_backward(system, jt, g, with_params=True,
+                                              from_logits=from_logits)
+            bare, none_pgs, none_coord = joint_backward(
+                system, jt, g, from_logits=from_logits)
+            assert [a.tobytes() for a in bare] == [a.tobytes() for a in full]
+            assert none_pgs == [None, None] and none_coord is None
+            assert all(pg is not None for pg in pgs) and coord is not None
+            assert coordinator_backward(system, jt, g, from_logits)[1] is None
+            for i in range(2):
+                one = party_input_grads(system, jt, g, [i], from_logits)[0]
+                assert one.tobytes() == full[i].tobytes()

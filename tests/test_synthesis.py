@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from test_fuzzer import three_class_linear
+from vflkit import data, synth_data
 from vflkit.model import LayerSpec, LocalModel
-from vflkit.protocol import Coordinator, Participant, VFLSystem
+from vflkit.protocol import (Coordinator, Participant, VFLSystem,
+                             joint_backward, joint_forward, joint_inference,
+                             train_splitnn)
 from vflkit.synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                               adi_generate, attack_accuracy, default_bound,
                               fdm_gradient, output_spread, read_candidates,
-                              saliency_est, saliency_est_fdm,
-                              write_candidates)
+                              saliency_est, saliency_est_fdm, spread_grad,
+                              write_candidates, _Blackbox, _inner_minimize,
+                              _Objective, _target_logit_grad, _Whitebox)
 
 
 def toy_logistic(theta_a=1.0, theta_b=1.0, bias=0.0):
@@ -260,3 +265,163 @@ class TestCandidateSerialization:
         assert loaded[1].provenance == "fuzz"
         np.testing.assert_array_equal(loaded[0].base, [1.0, 2.0])
         assert loaded[0].input.tolist() == [1.1, 1.8]
+
+
+class ReferenceWhitebox(_Objective):
+    """Whitebox gradients as full joint passes: every gradient is one
+    joint_forward of single-row views and one joint_backward into every
+    participant."""
+
+    def _input_grads(self, x_adv, rows, head):
+        views = [x_adv[None, :]] + [row[None, :] for row in rows]
+        jt = joint_forward(self.system, views)
+        grad, from_logits = head(jt.probs)
+        grads, _, _ = joint_backward(self.system, jt, grad,
+                                     from_logits=from_logits)
+        return grads
+
+    @staticmethod
+    def _spread(probs):
+        return spread_grad(probs), False
+
+    def loss_grad(self, x_adv):
+        def head(probs):
+            return _target_logit_grad(probs[0], self.l_target), True
+        return self._input_grads(x_adv, self.rows, head)[0][0]
+
+    def _benign_spread_grad(self, x_adv):
+        grads = self._input_grads(x_adv, self.rows, self._spread)
+        return np.concatenate([g[0] for g in grads[1:]])
+
+    def _adv_spread_grad(self, x_adv, rows):
+        return self._input_grads(x_adv, rows, self._spread)[0][0]
+
+
+class Compared:
+    """Hands _inner_minimize the gradients of the objective under test after
+    checking them byte for byte against the reference at the same x."""
+
+    def __init__(self, fast, ref):
+        self.fast = fast
+        self.ref = ref
+        self.calls = 0
+
+    def _same(self, name, x):
+        got = getattr(self.fast, name)(x)
+        want = getattr(self.ref, name)(x)
+        assert got.tobytes() == want.tobytes(), name
+        self.calls += 1
+        return got
+
+    def saliency_grad(self, x):
+        return self._same("saliency_grad", x)
+
+    def loss_grad(self, x):
+        return self._same("loss_grad", x)
+
+
+def three_party_splitnn():
+    train = synth_data.make_digits_like(600, seed=31)
+    views = data.partition_vertical(train, data.mnist_column_split(3))
+    dims = [[v.shape[1], 16, 8] for v in views]
+    system, _ = train_splitnn(views, train.labels, dims, [24, 16, 10],
+                              epochs=2, lr=0.05, batch=64, seed=5)
+    return system, views
+
+
+class TestWhiteboxPasses:
+    """_Whitebox's cached one-party passes give the same bytes as full joint
+    passes over a chain of inner steps."""
+
+    @staticmethod
+    def _chain(system, benign_views, x, target, n_rounds=3, **cfg_kw):
+        cfg = SynthesisConfig(inner_steps=4, **cfg_kw)
+        v = np.zeros_like(x)
+        calls = 0
+        for j in range(n_rounds):
+            rows = [view[j] for view in benign_views]
+            grads = Compared(_Whitebox(system, rows, target, cfg),
+                             ReferenceWhitebox(system, rows, target, cfg))
+            v = v + _inner_minimize(grads, x, v, cfg)
+            calls += grads.calls
+        per_step = (cfg.alpha > 0) + (cfg.beta > 0)
+        assert calls == n_rounds * cfg.inner_steps * per_step
+        assert np.any(v != 0)
+
+    def test_binary_heterolr(self, credit_setup):
+        system = credit_setup["system"]
+        x = credit_setup["test_views"][0][0]
+        benign = [credit_setup["test_views"][1][:3]]
+        self._chain(system, benign, x, 1)
+        # One objective term alone: the base pass is built by either.
+        self._chain(system, benign, x, 0, alpha=0.0)
+        self._chain(system, benign, x, 1, beta=0.0)
+
+    def test_softmax_heterolr(self):
+        system, _, test_views = three_class_linear()
+        self._chain(system, [test_views[1][:3]], test_views[0][0], 2)
+
+    def test_splitnn(self, digits_setup):
+        system = digits_setup["system"]
+        self._chain(system, [digits_setup["test_views"][1][:2]],
+                    digits_setup["test_views"][0][0], 3, n_rounds=2)
+
+    def test_three_parties(self):
+        system, views = three_party_splitnn()
+        self._chain(system, [views[1][:2], views[2][:2]], views[0][0], 4,
+                    n_rounds=2)
+
+    def test_flat_benign_direction(self):
+        # A benign side with zero weight has no spread gradient, so the
+        # saliency term is exactly zero.
+        system = toy_logistic(theta_b=0.0)
+        cfg = SynthesisConfig()
+        x = np.array([0.5])
+        fast = _Whitebox(system, [np.array([0.3])], 1, cfg)
+        ref = ReferenceWhitebox(system, [np.array([0.3])], 1, cfg)
+        assert np.all(fast._benign_spread_grad(x) == 0)
+        got = Compared(fast, ref).saliency_grad(x)
+        assert got.tobytes() == np.zeros(1).tobytes()
+
+
+class TestClosedFormSaliency:
+    """Binary HeteroLR: the saliency term's gradient on the adversary's row
+    is ||theta_B||_1 * p(1-p)(1-2p) * theta_A, with p the joint output."""
+
+    @staticmethod
+    def _cases(credit_setup, n=40):
+        system = credit_setup["system"]
+        theta_a = system.participants[0].model.layers[0].weights[0]
+        theta_b = system.participants[1].model.layers[0].weights[0]
+        k = np.abs(theta_b).sum()
+        rng = np.random.default_rng(8)
+        for _ in range(n):
+            x_a = 2.0 * rng.standard_normal(13)
+            x_b = 2.0 * rng.standard_normal(10)
+            p = joint_inference(system, [x_a[None, :], x_b[None, :]])[0, 0]
+            exact = k * p * (1 - p) * (1 - 2 * p) * theta_a
+            yield system, x_a, x_b, exact, theta_a, k
+
+    def test_whitebox(self, credit_setup):
+        cfg = SynthesisConfig()
+        for system, x_a, x_b, exact, theta_a, k in self._cases(credit_setup):
+            got = _Whitebox(system, [x_b], 0, cfg).saliency_grad(x_a)
+            # A central difference with step h = hvp_step = 1e-5 of
+            # q = p(1-p) along the benign direction: truncation
+            # (h^2/6) k^3 max|q'''| |theta_A| ~ 1e-10 |theta_A| for k ~ 4, and
+            # rounding about eps/h ~ 2e-11 |theta_A|. The bound is ~100x both.
+            atol = 1e-8 * k * np.abs(theta_a).max()
+            np.testing.assert_allclose(got, exact, rtol=1e-6, atol=atol)
+
+    def test_blackbox(self, credit_setup):
+        cfg = SynthesisConfig()
+        for system, x_a, x_b, exact, theta_a, k in self._cases(credit_setup):
+            got = _Blackbox(system, [x_b], 0, cfg).saliency_grad(x_a)
+            # The forward difference (step delta = fdm_step) of sigma(s) along
+            # x_A,i carries the bias (delta/2) theta_A,i^2 sigma''(s). Along
+            # the benign direction its derivative is
+            # (delta/2) k theta_A,i^2 sigma'''(s), and |sigma'''| <= 1/8.
+            # Rounding in the nested differences is ~2 eps/(delta h) ~ 4e-8.
+            # Twice the bias plus 1e-6 covers both.
+            atol = cfg.fdm_step * k * theta_a ** 2 / 8 + 1e-6
+            assert np.all(np.abs(got - exact) <= atol)
