@@ -294,11 +294,15 @@ def cmd_dominance(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
+    n_inputs = cfg.get("synthesis", {}).get("n_inputs", 50)
+    if isinstance(n_inputs, bool) or not isinstance(n_inputs, int) \
+            or n_inputs < 1:
+        raise ConfigError(
+            f"synthesis: n_inputs must be a positive integer, got {n_inputs!r}")
     out = _out_dir(cfg)
     train_views, test_views, _, _, _, _ = _prepared(cfg)
     system = _require_checkpoint(cfg, args)
     scfg = _synthesis_config(cfg, args, train_views[0])
-    n_inputs = cfg.get("synthesis", {}).get("n_inputs", 50)
     rng = np.random.default_rng(cfg["seed"])
     rows = _sample_rows(rng, test_views[0], n_inputs)
     benign = test_views[1:]

@@ -9,21 +9,36 @@ loss, optionally with a norm penalty and a per-feature mutation bound.
 
 Whitebox mode differentiates through the full system; blackbox mode
 estimates every gradient from joint-inference outputs alone by forward
-finite differences.
+finite differences, d+1 joint inferences per gradient in d inputs. The
+simulation answers each such batch from its structure (one perturbed
+coordinate per row) rather than row by row; ``fdm_gradient`` over
+``joint_forward`` is the reference estimator it is tested against.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_matrix, as_vector, forward
+from .model import (LocalModel, as_matrix, as_vector, forward,
+                    _layer_forward)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
                        party_input_grads, predicted_labels,
                        _coordinator_forward, _JointTrace)
 
 BOUND_FLOOR = 1e-6
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -47,6 +62,20 @@ class SynthesisConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("whitebox", "blackbox"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("max_rounds", "inner_steps"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, "
+                                 f"got {value!r}")
+        for name in ("alpha", "beta", "gamma", "momentum", "threshold",
+                     "fdm_step", "hvp_step"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
+        if self.inner_lr is not None and not (
+                _is_finite_real(self.inner_lr) and self.inner_lr > 0):
+            raise ValueError(f"inner_lr must be a positive number, "
+                             f"got {self.inner_lr!r}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("objective weights must be non-negative")
         if not 0.0 <= self.momentum < 1.0:
@@ -288,13 +317,20 @@ def fdm_gradient(fn_batch, x: np.ndarray, delta: float) -> np.ndarray:
 
     fn_batch maps a (m, d) batch to m scalars; the estimate costs d+1
     evaluations: the base point plus one unit-direction perturbation per
-    dimension.
+    dimension. This is the reference estimator: the blackbox synthesis
+    answers the same d+1 queries without materialising the batch, and is
+    tested against this function over ``joint_forward``.
     """
+    vals = np.asarray(fn_batch(_fd_batch(x, delta)), dtype=np.float64).ravel()
+    return (vals[1:] - vals[0]) / delta
+
+
+def _fd_batch(x: np.ndarray, delta: float) -> np.ndarray:
+    """The base row, then one step of ``delta`` along each coordinate."""
     d = x.shape[0]
     batch = np.repeat(x[None, :], d + 1, axis=0)
     batch[1:][np.diag_indices(d)] += delta
-    vals = np.asarray(fn_batch(batch), dtype=np.float64).ravel()
-    return (vals[1:] - vals[0]) / delta
+    return batch
 
 
 def _benign_spread_fdm(system: VFLSystem, x_adv: np.ndarray,
@@ -319,7 +355,9 @@ def _benign_spread_fdm(system: VFLSystem, x_adv: np.ndarray,
 def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
                      delta: float) -> float:
     """Blackbox version of saliency_est: forward differences over the benign
-    dimensions, d2 + 1 joint inferences total."""
+    dimensions, d2 + 1 joint inferences total. A reference estimator: it
+    runs ``fdm_gradient`` over ``joint_forward`` on the materialised
+    batch."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     benign_rows = [as_vector(r) for r in _rows_of(benign_rows)]
@@ -444,29 +482,69 @@ class _Whitebox(_Objective):
 
 
 class _Blackbox(_Objective):
-    """Finite-difference gradients from joint inferences only."""
+    """Forward-difference gradients from joint-inference outputs only.
 
-    def _probs_adv_batch(self, adv_batch, rows):
-        m = adv_batch.shape[0]
-        views = [adv_batch]
-        for row in rows:
-            views.append(np.repeat(row[None, :], m, axis=0))
-        return joint_forward(self.system, views).probs
+    Every gradient is one batch of d+1 joint-inference queries: the base
+    point, then one step of ``fdm_step`` along each input coordinate of the
+    varying side (the adversary's row, or the benign rows end to end). The
+    simulation answers a batch from its structure instead of running it
+    row by row (``_fd_local_outputs``); the answers match ``fdm_gradient``
+    over ``joint_forward`` on the same rows up to rounding.
+    """
+
+    def _fd_grad(self, x_adv, rows, vary_adv: bool, fn):
+        """Forward-difference gradient of ``fn`` (joint output rows to
+        scalars) in the adversary's row, or in the benign rows when
+        ``vary_adv`` is False. A fixed party runs one single-row local pass;
+        each varying party's perturbed rows fill its own block of rows."""
+        delta = self.cfg.fdm_step
+        inputs = [x_adv] + list(rows)
+        varying = [(i == 0) == vary_adv for i in range(len(inputs))]
+        m = 1 + sum(x.shape[0] for x, v in zip(inputs, varying) if v)
+        blocks = []
+        offset = 1
+        for part, x, vary in zip(self.system.participants, inputs, varying):
+            if not vary:
+                out = forward(part.model, x[None, :])[0]
+                blocks.append(np.repeat(out, m, axis=0))
+                continue
+            out = _fd_local_outputs(part.model, x, delta)
+            block = np.repeat(out[:1], m, axis=0)
+            block[offset:offset + x.shape[0]] = out[1:]
+            offset += x.shape[0]
+            blocks.append(block)
+        vals = fn(_coordinator_forward(self.system, blocks)[0])
+        return (vals[1:] - vals[0]) / delta
 
     def loss_grad(self, x_adv):
-        def fn(batch):
-            return _loss_rows(self._probs_adv_batch(batch, self.rows),
-                              self.l_target)
-        return fdm_gradient(fn, x_adv, self.cfg.fdm_step)
+        return self._fd_grad(x_adv, self.rows, True,
+                             lambda probs: _loss_rows(probs, self.l_target))
 
     def _benign_spread_grad(self, x_adv):
-        return _benign_spread_fdm(self.system, x_adv, self.rows,
-                                  self.cfg.fdm_step)
+        return self._fd_grad(x_adv, self.rows, False, _spread_rows)
 
     def _adv_spread_grad(self, x_adv, rows):
-        def fn(batch):
-            return _spread_rows(self._probs_adv_batch(batch, rows))
-        return fdm_gradient(fn, x_adv, self.cfg.fdm_step)
+        return self._fd_grad(x_adv, rows, True, _spread_rows)
+
+
+def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:
+    """Local outputs of ``x`` and of ``x + delta*e_i`` for each coordinate i,
+    as d+1 rows.
+
+    With a linear first layer, ``(x + delta*e_i) W^T = x W^T + delta*W[:, i]``,
+    so the perturbed pre-activations are rank-one updates of the base row's
+    and only the remaining layers run on d+1 rows. Any other first layer
+    runs the materialised batch.
+    """
+    x = as_vector(x, model.input_dim)
+    first = model.layers[0]
+    if first.kind != "linear":
+        return forward(model, _fd_batch(x, delta))[0]
+    h0 = x @ first.weights.T + first.bias
+    z = np.vstack([h0, h0 + delta * first.weights.T])
+    for layer in model.layers[1:]:
+        z = _layer_forward(layer, z)
+    return z
 
 
 def _objective_grads(system, benign_rows, l_target, cfg):

@@ -297,3 +297,16 @@ class TestExitCodes:
         doc = {**CREDIT, "fuzz": {**CREDIT["fuzz"], key: value}}
         code, _ = _run(tmp_path, doc, "fuzz", "--checkpoint", str(credit_ckpt))
         self._fails(capsys, code, 1, "config error: fuzz:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("inner_steps", 1.5), ("inner_steps", "3"), ("inner_steps", None),
+        ("inner_steps", True), ("max_rounds", "3"), ("max_rounds", -1),
+        ("inner_lr", "x"), ("inner_lr", 0), ("n_inputs", 0),
+        ("n_inputs", -1), ("n_inputs", "2"), ("fdm_step", float("nan")),
+        ("alpha", float("inf"))])
+    def test_bad_synthesis_value(self, tmp_path, capsys, credit_ckpt, key,
+                                 value):
+        doc = {**CREDIT, "synthesis": {**CREDIT["synthesis"], key: value}}
+        code, _ = _run(tmp_path, doc, "synthesize",
+                       "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error: synthesis:")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from test_fuzzer import three_class_linear
-from vflkit import data, synth_data
-from vflkit.model import LayerSpec, LocalModel
+from vflkit import data, synth_data, synthesis
+from vflkit.model import LayerSpec, LocalModel, init_model
 from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              joint_backward, joint_forward, joint_inference,
                              train_splitnn)
@@ -12,7 +12,8 @@ from vflkit.synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                               fdm_gradient, output_spread, read_candidates,
                               saliency_est, saliency_est_fdm, spread_grad,
                               write_candidates, _Blackbox, _inner_minimize,
-                              _Objective, _target_logit_grad, _Whitebox)
+                              _loss_rows, _Objective, _spread_rows,
+                              _target_logit_grad, _Whitebox)
 
 
 def toy_logistic(theta_a=1.0, theta_b=1.0, bias=0.0):
@@ -425,3 +426,155 @@ class TestClosedFormSaliency:
             # Twice the bias plus 1e-6 covers both.
             atol = cfg.fdm_step * k * theta_a ** 2 / 8 + 1e-6
             assert np.all(np.abs(got - exact) <= atol)
+
+
+def nonlinear_first_splitnn():
+    """2-party SplitNN whose local models both open with a sigmoid, so no
+    first layer is linear."""
+    rng = np.random.default_rng(41)
+
+    def local(d_in, d_out, seed):
+        mlp = init_model([d_in, d_out], seed=seed)
+        return LocalModel([LayerSpec("sigmoid", d_in, d_in)] + mlp.layers)
+
+    top = init_model([7, 6, 3], head="softmax", seed=3)
+    system = VFLSystem([Participant("A", list(range(5)), local(5, 4, 1)),
+                        Participant("B1", list(range(5, 9)), local(4, 3, 2))],
+                       Coordinator("splitnn", top_model=top), 3)
+    views = [2.0 * rng.standard_normal((4, 5)),
+             2.0 * rng.standard_normal((4, 4))]
+    return system, views
+
+
+def reference_fd(system, x_adv, rows, vary_adv, fn, delta):
+    """fdm_gradient over joint_forward on the materialised batch, and the
+    largest |fn| value it differenced."""
+    widths = np.cumsum([r.shape[0] for r in rows])[:-1]
+    seen = []
+
+    def batch_fn(batch):
+        m = batch.shape[0]
+        if vary_adv:
+            views = [batch] + [np.repeat(r[None, :], m, axis=0) for r in rows]
+        else:
+            views = [np.repeat(x_adv[None, :], m, axis=0)] + \
+                np.split(batch, widths, axis=1)
+        vals = fn(joint_forward(system, views).probs)
+        seen.append(np.abs(vals).max())
+        return vals
+
+    base = x_adv if vary_adv else np.concatenate(rows)
+    return fdm_gradient(batch_fn, base, delta), seen[0]
+
+
+class TestBlackboxOracle:
+    """_Blackbox answers each forward-difference batch from its structure;
+    the gradients match fdm_gradient over joint_forward on the same rows to
+    within rounding: 64 eps (1 + max|f|) / delta, f the differenced
+    quantity."""
+
+    @staticmethod
+    def _check(system, adv_rows, benign_views, target, n_points=3):
+        cfg = SynthesisConfig(mode="blackbox")
+        delta = cfg.fdm_step
+        eps = np.finfo(np.float64).eps
+        for j in range(n_points):
+            x = adv_rows[j]
+            rows = [view[j] for view in benign_views]
+            other = [view[j + 1] for view in benign_views]
+            bb = _Blackbox(system, rows, target, cfg)
+            cases = [
+                (bb.loss_grad(x), rows, True,
+                 lambda p: _loss_rows(p, target)),
+                (bb._adv_spread_grad(x, other), other, True, _spread_rows),
+                (bb._benign_spread_grad(x), rows, False, _spread_rows),
+            ]
+            for got, case_rows, vary_adv, fn in cases:
+                want, f_max = reference_fd(system, x, case_rows, vary_adv,
+                                           fn, delta)
+                assert got.shape == want.shape
+                tol = 64 * eps * (1 + f_max) / delta
+                assert np.max(np.abs(got - want)) <= tol
+
+    def test_binary_heterolr(self, credit_setup):
+        views = credit_setup["test_views"]
+        self._check(credit_setup["system"], views[0], [views[1]], 1)
+
+    def test_softmax_heterolr(self):
+        system, _, views = three_class_linear()
+        self._check(system, views[0], [views[1]], 2)
+
+    def test_splitnn(self, digits_setup):
+        views = digits_setup["test_views"]
+        self._check(digits_setup["system"], views[0], [views[1]], 3,
+                    n_points=2)
+
+    def test_three_parties(self):
+        # The benign spread gradient varies both benign parties, each in its
+        # own block of rows.
+        system, views = three_party_splitnn()
+        self._check(system, views[0], views[1:], 4, n_points=2)
+
+    def test_nonlinear_first_layer(self):
+        system, views = nonlinear_first_splitnn()
+        self._check(system, views[0], views[1:], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_adversary_row(self, credit_setup, bad):
+        views = credit_setup["test_views"]
+        x = views[0][0].copy()
+        x[3] = bad
+        bb = _Blackbox(credit_setup["system"], [views[1][0]], 1,
+                       SynthesisConfig(mode="blackbox"))
+        for grad in (bb.loss_grad, bb._benign_spread_grad,
+                     lambda x_: bb._adv_spread_grad(x_, bb.rows)):
+            with pytest.raises(ValueError):
+                grad(x)
+
+    def test_adversary_row_length_checked(self, credit_setup):
+        views = credit_setup["test_views"]
+        bb = _Blackbox(credit_setup["system"], [views[1][0]], 1,
+                       SynthesisConfig(mode="blackbox"))
+        with pytest.raises(ValueError, match="length"):
+            bb.loss_grad(views[0][0][:-1])
+
+
+class TestBlackboxQueries:
+    """The paper's cost unit: every blackbox gradient is d+1 joint
+    inferences, counted where each one reaches the coordinator."""
+
+    @staticmethod
+    def _counter(monkeypatch):
+        rows = []
+        real = synthesis._coordinator_forward
+
+        def counting(system, locals_):
+            rows.append(locals_[0].shape[0])
+            return real(system, locals_)
+
+        monkeypatch.setattr(synthesis, "_coordinator_forward", counting)
+        return rows
+
+    def test_each_gradient(self, monkeypatch):
+        system, views = three_party_splitnn()
+        x = views[0][0]
+        rows = [view[0] for view in views[1:]]
+        d_a = x.shape[0]
+        d_b = sum(r.shape[0] for r in rows)
+        bb = _Blackbox(system, rows, 4, SynthesisConfig(mode="blackbox"))
+        counted = self._counter(monkeypatch)
+        bb.loss_grad(x)
+        bb._adv_spread_grad(x, rows)
+        bb._benign_spread_grad(x)
+        assert counted == [d_a + 1, d_a + 1, d_b + 1]
+
+    def test_inner_step(self, monkeypatch, credit_setup):
+        views = credit_setup["test_views"]
+        x = views[0][0]
+        cfg = SynthesisConfig(mode="blackbox", inner_steps=1)
+        bb = _Blackbox(credit_setup["system"], [views[1][0]], 1, cfg)
+        counted = self._counter(monkeypatch)
+        _inner_minimize(bb, x, np.zeros_like(x), cfg)
+        d_a, d_b = views[0].shape[1], views[1].shape[1]
+        assert len(counted) == 4
+        assert sum(counted) == 3 * (d_a + 1) + (d_b + 1)
