@@ -17,7 +17,7 @@ from .model import as_matrix, as_vector
 from .protocol import VFLSystem, evaluate, splitnn_architecture, train_splitnn
 from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                         adi_generate, default_bound, spread_input_grads,
-                        _as_benign_views)
+                        _as_benign_views, _synthesize_rows)
 
 
 @dataclass
@@ -89,19 +89,20 @@ def success_rate(system: VFLSystem, adv_rows, cfg: SynthesisConfig,
     Each row targets its own majority joint label; success is the practical
     assessment on the full benign test view. With a zero round budget this
     degenerates to the baseline dominating rate.
+
+    All rows are synthesised in one lockstep call: they descend as one
+    (R, d) block, and a row leaves it at the sweep where it dominates. Each
+    candidate equals that row's own ``adi_generate`` candidate byte for
+    byte.
     """
     adv_rows = as_matrix(adv_rows)
     if adv_rows.shape[0] < 1:
         raise ValueError("need at least one sampled row")
     full_eval = JointEvaluator(system, test_benign_views)
-    candidates = []
-    hits = 0
-    for row in adv_rows:
-        l_target, _ = full_eval.majority_label(row)
-        cand = adi_generate(row, system, l_target, cfg, tiny_benign,
-                            stop_benign=full_eval)
-        candidates.append(cand)
-        hits += cand.accuracy >= threshold
+    targets = [full_eval.majority_label(row)[0] for row in adv_rows]
+    candidates = _synthesize_rows(adv_rows, system, targets, cfg, tiny_benign,
+                                  stop_benign=full_eval)
+    hits = sum(cand.accuracy >= threshold for cand in candidates)
     return hits / adv_rows.shape[0], candidates
 
 

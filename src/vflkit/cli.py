@@ -358,7 +358,13 @@ def cmd_fuzz(cfg: dict, args) -> int:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
     n99 = sum(1 for c in result.adis if c.accuracy >= 0.99)
+    # Raw hits count every emitted candidate. The paper's success rates
+    # count adversary rows, so also count the distinct corpus rows (each
+    # candidate's base) holding an ADI at each threshold.
+    rows95, rows99 = (len({c.base.tobytes() for c in result.adis
+                           if c.accuracy >= thr}) for thr in (0.95, 0.99))
     print(f"fuzz: adis_found={len(result.adis)} adis_at_99={n99} "
+          f"distinct_rows_at_95={rows95} distinct_rows_at_99={rows99} "
           f"iterations={result.n_iterations} mutations={result.n_mutations}")
     return 0
 

@@ -22,7 +22,7 @@ from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
                        party_input_grads, predicted_labels,
                        _coordinator_forward, _JointTrace)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
-                        spread_input_grads, _as_benign_views)
+                        spread_input_grads, _as_benign_views, _evaluator)
 
 
 @dataclass
@@ -122,15 +122,6 @@ def compute_mask(system: VFLSystem, views, participant_id: str,
     absolute gradient of the given label's logit, rescaled by its max."""
     idx = [p.id for p in system.participants].index(participant_id)
     return _target_mask(system, joint_forward(system, views), idx, label)
-
-
-def _evaluator(system: VFLSystem, s_views) -> JointEvaluator:
-    """The given JointEvaluator, or one built over the benign views."""
-    if not isinstance(s_views, JointEvaluator):
-        return JointEvaluator(system, s_views)
-    if s_views.system is not system or s_views.adv_index != 0:
-        raise ValueError("evaluator must vary the adversary of this system")
-    return s_views
 
 
 def is_adi(x_adv, s_views, l_target: int, system: VFLSystem,

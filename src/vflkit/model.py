@@ -4,6 +4,13 @@ Fixed layer vocabulary (linear / relu / sigmoid / softmax), float64
 throughout. Supports gradients with respect to both parameters and inputs,
 which is all the attack and analysis code needs; there is no general
 autodiff graph.
+
+The forward and input-gradient passes also take an (..., m, d) stack of
+m-row batches and treat each batch as if it ran alone: every layer works on
+the last axis, and numpy runs a stacked matrix product as one product per
+batch, so each batch's result has the same bytes as its own lone pass. A
+flat (R*m, d) batch would not: BLAS may block and round a taller product
+differently. Parameter gradients take a 2-D batch only.
 """
 from __future__ import annotations
 
@@ -17,21 +24,23 @@ LAYER_KINDS = ("linear", "relu", "sigmoid", "softmax")
 CHECKPOINT_VERSION = 1
 
 
-def as_matrix(data, cols: int | None = None) -> np.ndarray:
+def as_matrix(data, cols: int | None = None,
+              stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries.
 
     1-D input becomes a single row. ``cols`` optionally enforces the column
-    count.
+    count. With ``stack`` set, an (..., m, d) stack of batches is accepted
+    as well and keeps its shape.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
         raise ValueError(f"expected 1-D or 2-D data, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if cols is not None and arr.shape[1] != cols:
-        raise ValueError(f"expected {cols} columns, got {arr.shape[1]}")
+    if cols is not None and arr.shape[-1] != cols:
+        raise ValueError(f"expected {cols} columns, got {arr.shape[-1]}")
     return np.ascontiguousarray(arr)
 
 
@@ -109,18 +118,16 @@ class ForwardTrace:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # -|x| is exactly -x where x >= 0 and x elsewhere, so each branch sees
+    # the exponent a split by sign would give it, and exp never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def _layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -134,8 +141,9 @@ def _layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: LocalModel, x) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the layer stack on a batch of rows; returns (output, trace)."""
-    x = as_matrix(x, cols=model.input_dim)
+    """Run the layer stack on a batch of rows, or on an (..., m, d) stack of
+    batches; returns (output, trace)."""
+    x = as_matrix(x, cols=model.input_dim, stack=True)
     trace = ForwardTrace()
     for layer in model.layers:
         trace.inputs.append(x)
@@ -158,7 +166,7 @@ def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray,
         y = _sigmoid(x)
         return grad_out * y * (1.0 - y), None
     y = _softmax(x)
-    dot = (grad_out * y).sum(axis=1, keepdims=True)
+    dot = (grad_out * y).sum(axis=-1, keepdims=True)
     return y * (grad_out - dot), None
 
 
@@ -171,14 +179,20 @@ def backward(model: LocalModel, trace: ForwardTrace, grad_output,
     layer when ``with_params`` is False). ``n_skip_top`` starts propagation
     below the top-most layers, which lets callers take gradients of
     pre-activation logits.
+
+    ``grad_output`` may be an (..., m, k) stack of m-row gradients. The
+    trace then holds the same stack, or one m-row batch that every
+    gradient in the stack shares.
     """
-    grad = as_matrix(grad_output)
+    grad = as_matrix(grad_output, stack=True)
     start = len(model.layers) - 1 - n_skip_top
     expected = model.layers[start].out_dim
-    if grad.shape != (trace.inputs[0].shape[0], expected):
+    if grad.shape[-2:] != (trace.inputs[0].shape[-2], expected):
         raise ValueError(
             f"gradient shape {grad.shape} does not match "
-            f"({trace.inputs[0].shape[0]}, {expected})")
+            f"({trace.inputs[0].shape[-2]}, {expected})")
+    if with_params and grad.ndim != 2:
+        raise ValueError("parameter gradients need a 2-D batch")
     param_grads: list = [None] * len(model.layers)
     for i in range(start, -1, -1):
         grad, pg = _layer_backward(model.layers[i], trace.inputs[i], grad,

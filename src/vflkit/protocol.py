@@ -8,6 +8,10 @@ coordinator's top model consumes the concatenated local outputs.
 
 Intermediate payloads travel as plaintext here; the privacy contract is
 enforced by an audit over traced messages instead of encryption.
+
+The coordinator's passes, like the local models' (see ``model``), also take
+(..., m, k) stacks of local outputs; they join and split them on the last
+axis.
 """
 from __future__ import annotations
 
@@ -136,7 +140,7 @@ def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
         score = sum(locals_) + coord.bias
         probs = _sigmoid(score) if system.output_dim == 1 else _softmax(score)
         return probs, score
-    concat = np.concatenate(locals_, axis=1)
+    concat = np.concatenate(locals_, axis=-1)
     probs, trace = forward(coord.top_model, concat)
     return probs, trace
 
@@ -173,7 +177,7 @@ def _activation_backward(probs: np.ndarray, grad_probs: np.ndarray,
                          scalar: bool) -> np.ndarray:
     if scalar:
         return grad_probs * probs * (1.0 - probs)
-    dot = (grad_probs * probs).sum(axis=1, keepdims=True)
+    dot = (grad_probs * probs).sum(axis=-1, keepdims=True)
     return probs * (grad_probs - dot)
 
 
@@ -187,7 +191,7 @@ def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     ``with_params`` is set and None otherwise. ``from_logits`` treats
     grad_probs as a gradient on pre-activation scores.
     """
-    grad = as_matrix(grad_probs)
+    grad = as_matrix(grad_probs, stack=True)
     coord = system.coordinator
     if coord.kind == "heterolr":
         grad_score = grad if from_logits else _activation_backward(
@@ -204,7 +208,7 @@ def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     offset = 0
     for part in system.participants:
         width = part.model.output_dim
-        branch_grads.append(grad_concat[:, offset:offset + width])
+        branch_grads.append(grad_concat[..., offset:offset + width])
         offset += width
     return branch_grads, top_params if with_params else None
 

@@ -13,6 +13,14 @@ finite differences, d+1 joint inferences per gradient in d inputs. The
 simulation answers each such batch from its structure (one perturbed
 coordinate per row) rather than row by row; ``fdm_gradient`` over
 ``joint_forward`` is the reference estimator it is tested against.
+
+Several adversary rows are synthesised in lockstep: at round t every row
+descends against the same benign row, so each round's objective takes an
+(R, d) block of rows with one target label each. The whitebox passes run
+as (R, 1, d) stacks (see ``model``); blackbox mode answers each row's
+batches on their own. Each row's result has the same bytes as its own
+``adi_generate`` run. A row leaves the block at the sweep boundary where
+it dominates, as a lone run would stop there.
 """
 from __future__ import annotations
 
@@ -158,10 +166,10 @@ def _spread_rows(probs: np.ndarray) -> np.ndarray:
 def spread_grad(probs: np.ndarray) -> np.ndarray:
     """Row-wise gradient of the output spread on the joint output: ones for
     one-dimensional outputs, else (2/c)(p - mean p)."""
-    c = probs.shape[1]
+    c = probs.shape[-1]
     if c == 1:
         return np.ones_like(probs)
-    return (2.0 / c) * (probs - probs.mean(axis=1, keepdims=True))
+    return (2.0 / c) * (probs - probs.mean(axis=-1, keepdims=True))
 
 
 def spread_input_grads(system: VFLSystem, views) -> list[np.ndarray]:
@@ -276,6 +284,16 @@ class JointEvaluator:
         return label, float(counts[label] / labels.size)
 
 
+def _evaluator(system: VFLSystem, benign) -> JointEvaluator:
+    """The given JointEvaluator, or one built over the benign views. A given
+    evaluator must vary the adversary (participant 0) of this system."""
+    if not isinstance(benign, JointEvaluator):
+        return JointEvaluator(system, benign)
+    if benign.system is not system or benign.adv_index != 0:
+        raise ValueError("evaluator must vary the adversary of this system")
+    return benign
+
+
 def attack_accuracy(x_adv, system: VFLSystem, l_target: int,
                     benign_views) -> float:
     """Share of benign test rows forced to l_target when paired with x_adv."""
@@ -371,14 +389,18 @@ def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
 _CE_FLOOR = 1e-300
 
 
-def _target_logit_grad(probs_row: np.ndarray, l_target: int) -> np.ndarray:
-    """Gradient of the targeted loss on the pre-activation scores."""
-    if probs_row.shape[0] == 1:
-        p = float(np.clip(probs_row[0], _CE_FLOOR, 1 - 1e-16))
-        return np.asarray([[p - float(l_target)]])
-    grad = probs_row.copy()
-    grad[l_target] -= 1.0
-    return grad[None, :]
+def _target_logit_grad(probs: np.ndarray, l_target) -> np.ndarray:
+    """Gradient of the targeted loss on the pre-activation scores.
+
+    ``probs`` is one probability row (c,) with one label, or (R, c) rows
+    with a label each; the result is (1, c) or (R, 1, c).
+    """
+    l_target = np.asarray(l_target)[..., None]
+    if probs.shape[-1] == 1:
+        p = np.clip(probs, _CE_FLOOR, 1 - 1e-16)
+        return (p - l_target.astype(np.float64))[..., None, :]
+    hot = np.arange(probs.shape[-1]) == l_target
+    return (probs - hot)[..., None, :]
 
 
 def _loss_rows(probs: np.ndarray, l_target: int) -> np.ndarray:
@@ -395,6 +417,12 @@ class _Objective:
     The saliency term's gradient is a central difference of the adversary's
     spread gradient along the sign of the benign side's spread gradient;
     subclasses supply both spread gradients and the target-loss gradient.
+
+    ``x_adv`` is one adversary row (d,) with one ``l_target``. A subclass
+    whose passes take stacks (``_Whitebox``) also takes an (R, d) block of
+    rows with an (R,) array of labels; gradients come back in the shape of
+    ``x_adv``, and the benign rows passed to ``_adv_spread_grad`` are then
+    one (R, w) block per benign participant.
     """
 
     def __init__(self, system: VFLSystem, benign_rows, l_target: int,
@@ -406,19 +434,20 @@ class _Objective:
 
     def saliency_grad(self, x_adv):
         flat_dir = np.sign(self._benign_spread_grad(x_adv))
-        if np.all(flat_dir == 0):
+        flat = np.all(flat_dir == 0, axis=-1)
+        if np.all(flat):
             return np.zeros_like(x_adv)
         h = self.cfg.hvp_step
         offset = 0
         plus, minus = [], []
         for row in self.rows:
-            d = flat_dir[offset:offset + row.shape[0]]
+            d = flat_dir[..., offset:offset + row.shape[0]]
             plus.append(row + h * d)
             minus.append(row - h * d)
             offset += row.shape[0]
         gp = self._adv_spread_grad(x_adv, plus)
         gm = self._adv_spread_grad(x_adv, minus)
-        return (gp - gm) / (2.0 * h)
+        return np.where(flat[..., None], 0.0, (gp - gm) / (2.0 * h))
 
 
 class _Whitebox(_Objective):
@@ -434,6 +463,8 @@ class _Whitebox(_Objective):
     costs 1 adversary forward, 2 benign forwards, 3 coordinator forwards
     and 4 one-party backwards, and gives the same bytes as full
     ``joint_forward`` + ``joint_backward`` passes, which cost 4 of each.
+    A block of R adversary rows runs each of these as one (R, 1, ·) stack;
+    the round's benign locals are one row that the whole stack shares.
     """
 
     def __init__(self, system: VFLSystem, benign_rows, l_target: int,
@@ -444,11 +475,14 @@ class _Whitebox(_Objective):
         self._jt = None
 
     def _benign_locals(self, rows):
-        return [forward(p.model, row[None, :])
+        return [forward(p.model, row[..., None, :])
                 for p, row in zip(self.system.participants[1:], rows)]
 
     def _joint(self, adv_out, adv_trace, benign) -> _JointTrace:
-        locals_ = [adv_out] + [out for out, _ in benign]
+        # A block's rows share the round's single-row benign outputs.
+        locals_ = [adv_out] + [np.broadcast_to(out, adv_out.shape[:-1] +
+                                               out.shape[-1:])
+                               for out, _ in benign]
         probs, coord_trace = _coordinator_forward(self.system, locals_)
         return _JointTrace([adv_trace] + [trace for _, trace in benign],
                            locals_, coord_trace, probs)
@@ -456,29 +490,29 @@ class _Whitebox(_Objective):
     def _base(self, x_adv) -> _JointTrace:
         if x_adv is not self._x:
             out, trace = forward(self.system.participants[0].model,
-                                 x_adv[None, :])
+                                 x_adv[..., None, :])
             self._x = x_adv
             self._jt = self._joint(out, trace, self._benign)
         return self._jt
 
     def loss_grad(self, x_adv):
         jt = self._base(x_adv)
-        glogit = _target_logit_grad(jt.probs[0], self.l_target)
+        glogit = _target_logit_grad(jt.probs[..., 0, :], self.l_target)
         return party_input_grads(self.system, jt, glogit, [0],
-                                 from_logits=True)[0][0]
+                                 from_logits=True)[0][..., 0, :]
 
     def _benign_spread_grad(self, x_adv):
         jt = self._base(x_adv)
         grads = party_input_grads(self.system, jt, spread_grad(jt.probs),
                                   range(1, len(self.system.participants)))
-        return np.concatenate([g[0] for g in grads])
+        return np.concatenate([g[..., 0, :] for g in grads], axis=-1)
 
     def _adv_spread_grad(self, x_adv, rows):
         base = self._base(x_adv)
         jt = self._joint(base.local_outputs[0], base.local_traces[0],
                          self._benign_locals(rows))
         return party_input_grads(self.system, jt, spread_grad(jt.probs),
-                                 [0])[0][0]
+                                 [0])[0][..., 0, :]
 
 
 class _Blackbox(_Objective):
@@ -547,15 +581,39 @@ def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:
     return z
 
 
+class _EachRow:
+    """A block's objective as one lone-row objective per row, stacked: for
+    blackbox mode, whose (d+1)-row batches are already compute-bound, so
+    stacking rows gains nothing."""
+
+    def __init__(self, objectives):
+        self.objectives = objectives
+
+    def saliency_grad(self, x_adv):
+        return np.stack([obj.saliency_grad(x)
+                         for obj, x in zip(self.objectives, x_adv)])
+
+    def loss_grad(self, x_adv):
+        return np.stack([obj.loss_grad(x)
+                         for obj, x in zip(self.objectives, x_adv)])
+
+
 def _objective_grads(system, benign_rows, l_target, cfg):
-    klass = _Whitebox if cfg.mode == "whitebox" else _Blackbox
-    return klass(system, benign_rows, l_target, cfg)
+    """The round's objective for one row (an int label) or for a block of
+    rows (an array of labels)."""
+    if cfg.mode == "whitebox":
+        return _Whitebox(system, benign_rows, l_target, cfg)
+    if np.ndim(l_target) == 0:
+        return _Blackbox(system, benign_rows, l_target, cfg)
+    return _EachRow([_Blackbox(system, benign_rows, label, cfg)
+                     for label in l_target])
 
 
 def _inner_minimize(grads, base: np.ndarray, v: np.ndarray,
                     cfg: SynthesisConfig) -> np.ndarray:
     """Descend the round objective in the mutation delta, projected onto the
-    bound box when the strategy is bounded."""
+    bound box when the strategy is bounded. ``base`` and ``v`` are one row,
+    or an (R, d) block of rows descending side by side."""
     delta = np.zeros_like(base)
     lr = cfg.step_size
     for _ in range(cfg.inner_steps):
@@ -566,9 +624,11 @@ def _inner_minimize(grads, base: np.ndarray, v: np.ndarray,
         if cfg.beta > 0:
             grad += cfg.beta * grads.loss_grad(x)
         if cfg.strategy == "bounded" and cfg.gamma > 0:
-            norm = np.linalg.norm(delta)
-            if norm > 0:
-                grad += cfg.gamma * delta / norm
+            # Each row's norm as np.linalg.norm takes it, sqrt(dot(d, d));
+            # np.linalg.norm(delta, axis=-1) rounds differently.
+            norm = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0]
+            grad += np.divide(cfg.gamma * delta, norm,
+                              out=np.zeros_like(delta), where=norm > 0)
         delta = delta - lr * grad
         if cfg.strategy == "bounded":
             delta = np.clip(v + delta, -cfg.bound, cfg.bound) - v
@@ -586,44 +646,69 @@ def adi_generate(x_adv_star, system: VFLSystem, l_target: int,
     bound. After each sweep the attack accuracy is re-measured and the loop
     stops once it exceeds the configured threshold or the round budget runs
     out. ``stop_benign`` supplies the rows the accuracy is measured on (the
-    practical-assessment set); it defaults to the tiny sample itself.
+    practical-assessment set); it defaults to the tiny sample itself. It may
+    be a JointEvaluator, which must vary the adversary of ``system``.
     """
     base = as_vector(x_adv_star, len(system.participants[0].columns))
+    return _synthesize_rows(base[None, :], system, [l_target], cfg,
+                            tiny_benign, stop_benign)[0]
+
+
+def _synthesize_rows(bases, system: VFLSystem, targets,
+                     cfg: SynthesisConfig, tiny_benign,
+                     stop_benign=None) -> list[AdiCandidate]:
+    """``adi_generate`` for each row of ``bases`` towards its own target
+    label, with all rows in lockstep.
+
+    Every row starts at round 1 and descends against the same benign row at
+    each round, so the rows still short of the threshold run as one block.
+    After each sweep, the rows that now exceed it leave the block, at the
+    round where their own run would stop. Each candidate equals that row's
+    own ``adi_generate`` candidate byte for byte.
+    """
+    bases = as_matrix(bases, cols=len(system.participants[0].columns))
     benign_views = _as_benign_views(system, tiny_benign)
     if benign_views[0].shape[0] < 1:
         raise ValueError("benign sample must be nonempty")
-    if not 0 <= l_target < system.n_classes:
-        raise ValueError(f"target label {l_target} out of range")
-    if cfg.strategy == "bounded" and cfg.bound.shape[0] != base.shape[0]:
+    for l_target in targets:
+        if not 0 <= l_target < system.n_classes:
+            raise ValueError(f"target label {l_target} out of range")
+    if cfg.strategy == "bounded" and cfg.bound.shape[0] != bases.shape[1]:
         raise ValueError("bound length must match the adversary's columns")
+    stop_eval = _evaluator(system, benign_views if stop_benign is None
+                           else stop_benign)
 
-    if stop_benign is None:
-        stop_eval = JointEvaluator(system, benign_views)
-    elif isinstance(stop_benign, JointEvaluator):
-        stop_eval = stop_benign
-    else:
-        stop_eval = JointEvaluator(system, stop_benign)
-    v = np.zeros_like(base)
-    delta_prev = np.zeros_like(base)
+    targets = np.asarray(targets)
+    v = np.zeros_like(bases)
+    delta_prev = np.zeros_like(bases)
+    rounds = np.zeros(bases.shape[0], dtype=np.int64)
+    r = np.array([stop_eval.attack_accuracy(x, l_target)
+                  for x, l_target in zip(bases, targets)])
     n_sample = benign_views[0].shape[0]
     t = 1
-    r = stop_eval.attack_accuracy(base, l_target)
-    while r <= cfg.threshold and t <= cfg.max_rounds:
+    active = np.flatnonzero(r <= cfg.threshold)
+    while active.size and t <= cfg.max_rounds:
+        base, v_act, prev = bases[active], v[active], delta_prev[active]
         for j in range(n_sample):
             if t > cfg.max_rounds:
                 break
             rows = [view[j] for view in benign_views]
-            grads = _objective_grads(system, rows, l_target, cfg)
-            delta = _inner_minimize(grads, base, v, cfg)
-            delta = cfg.momentum * delta_prev + delta
+            grads = _objective_grads(system, rows, targets[active], cfg)
+            delta = _inner_minimize(grads, base, v_act, cfg)
+            delta = cfg.momentum * prev + delta
             if cfg.strategy == "bounded":
-                delta = np.clip(v + delta, -cfg.bound, cfg.bound) - v
-            v = v + delta
-            delta_prev = delta
+                delta = np.clip(v_act + delta, -cfg.bound, cfg.bound) - v_act
+            v_act = v_act + delta
+            prev = delta
             t += 1
-        r = stop_eval.attack_accuracy(base + v, l_target)
+        v[active], delta_prev[active], rounds[active] = v_act, prev, t - 1
+        r[active] = [stop_eval.attack_accuracy(x + dv, l_target) for
+                     x, dv, l_target in zip(base, v_act, targets[active])]
+        active = active[r[active] <= cfg.threshold]
     if cfg.strategy == "bounded" and not np.all(
             np.abs(v) <= cfg.bound + 1e-12):
         raise RuntimeError("mutation bound violated")
-    return AdiCandidate(base, v, int(l_target), float(r), t - 1,
-                        cfg.strategy, cfg.mode)
+    return [AdiCandidate(x, dv, int(l_target), float(acc), int(n_rounds),
+                         cfg.strategy, cfg.mode)
+            for x, dv, l_target, acc, n_rounds in
+            zip(bases, v, targets, r, rounds)]

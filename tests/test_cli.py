@@ -120,6 +120,22 @@ class TestCommands:
             "adis": _jsonl(out / "adis.jsonl"),
             "log": _jsonl(out / "campaign_log.jsonl")})
 
+    def test_fuzz_prints_distinct_rows(self, tmp_path, capsys, credit_ckpt):
+        code, out = _run(tmp_path, CREDIT, "fuzz",
+                         "--checkpoint", str(credit_ckpt))
+        assert code == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("fuzz: ")
+        printed = dict(field.split("=") for field in line.split()[1:])
+        adis = _jsonl(out / "adis.jsonl")
+        for thr, key in ((0.95, "distinct_rows_at_95"),
+                         (0.99, "distinct_rows_at_99")):
+            rows = {json.dumps(a["base"]) for a in adis if a["r"] >= thr}
+            assert int(printed[key]) == len(rows)
+        assert int(printed["adis_found"]) == len(adis)
+        # This campaign hits the same corpus row more than once.
+        assert 0 < int(printed["distinct_rows_at_95"]) < len(adis)
+
     def test_variance_fixture(self, tmp_path):
         doc = {"seed": 3, "variance": {
             "n_mc": 2000, "fixture": {"weights": [0.4, 0.6],

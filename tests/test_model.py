@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vflkit.model import (GradCheckReport, LayerSpec, LocalModel, SgdMomentum,
                           as_matrix, backward, forward, grad_check,
                           identity_model, init_model, load_model,
-                          model_from_dict, model_to_dict, save_model)
+                          model_from_dict, model_to_dict, save_model,
+                          _sigmoid)
 
 
 def linear_model(weights, bias=None):
@@ -94,6 +96,36 @@ class TestForward:
             rtol=1e-12, atol=0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+def masked_sigmoid(x):
+    """The sigmoid as two boolean-masked halves: the earlier formula, kept
+    as the oracle for the one-pass rewrite."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.0,
+                  -709.0, 710.0, -710.0, 745.5, -745.5, 1e308, -1e308,
+                  36.7, -36.7, 1.0, -1.0])
+
+
+class TestSigmoid:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3,
+                                                   max_side=5),
+                      elements=st.floats(allow_nan=False,
+                                         allow_infinity=False)))
+    @example(EDGES)
+    @example(EDGES.reshape(3, 2, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_masked_halves(self, x):
+        got = _sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == masked_sigmoid(x).tobytes()
 
 
 class TestBackward:

@@ -162,6 +162,34 @@ class TestAttackAccuracy:
         assert label == 0 and share == pytest.approx(2 / 3)
 
 
+class TestStopEvaluator:
+    """adi_generate measures accuracy with a given evaluator only when it
+    varies the adversary of the attacked system."""
+
+    @pytest.mark.parametrize("case", ["other system", "other party"])
+    def test_mismatched_evaluator_rejected(self, credit_setup, case):
+        system = credit_setup["system"]
+        views = credit_setup["test_views"]
+        if case == "other system":
+            evaluator = JointEvaluator(toy_logistic(), [views[1][:5, :1]])
+        else:
+            evaluator = JointEvaluator(system, [views[0][:5]], adv_index=1)
+        with pytest.raises(ValueError, match="evaluator"):
+            adi_generate(views[0][0], system, 0, SynthesisConfig(),
+                         [views[1][:3]], stop_benign=evaluator)
+
+    def test_matching_evaluator_accepted(self, credit_setup):
+        system = credit_setup["system"]
+        views = credit_setup["test_views"]
+        cfg = SynthesisConfig(max_rounds=3, inner_steps=2)
+        given = adi_generate(views[0][0], system, 0, cfg, [views[1][:3]],
+                             stop_benign=JointEvaluator(system,
+                                                        [views[1][:40]]))
+        built = adi_generate(views[0][0], system, 0, cfg, [views[1][:3]],
+                             stop_benign=[views[1][:40]])
+        assert given.to_json() == built.to_json()
+
+
 class TestDefaultBound:
     def test_constant_feature_floored(self):
         view = np.ones((10, 3))
