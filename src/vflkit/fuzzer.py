@@ -20,9 +20,10 @@ from .model import as_matrix, as_vector, backward as model_backward, \
 from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
                        coordinator_backward, joint_forward,
                        party_input_grads, predicted_labels,
-                       _coordinator_forward, _JointTrace)
+                       _coordinator_forward, _JointTrace, _labels)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
-                        spread_input_grads, _as_benign_views, _evaluator)
+                        spread_input_grads, _as_benign_views, _evaluator,
+                        _is_finite_real, _is_integer, _require)
 
 
 @dataclass
@@ -51,8 +52,15 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.energy < 1:
-            raise ValueError("iteration and energy counts must be >= 1")
+        _require(self, ("max_iter", "energy"),
+                 lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
+        _require(self, ("noise_std_factor",),
+                 lambda v: _is_finite_real(v) and v >= 0, "finite and >= 0")
+        _require(self, ("budget_secs",), lambda v: v is None or (
+            _is_finite_real(v) and v > 0), "None or finite and > 0")
+        _require(self, ("thresholds",), lambda t: len(t) == 2 and all(
+            map(_is_finite_real, t)) and 0 < t[0] <= t[1] <= 1,
+                 "(low, high) with 0 < low <= high <= 1")
         if not 0.0 <= self.mask_weight <= 1.0:
             raise ValueError("mask weight must lie in [0, 1]")
         if not 0.0 < self.stable_fraction <= 1.0:
@@ -158,7 +166,8 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
 
     Each benign row costs one forward and one backward of the adversary's
     model. ``s_views`` may be a JointEvaluator over the benign sample; its
-    memo then keeps the origin's masks from one call to the next.
+    memo then keeps the origin's masks from one call to the next. Only the
+    seed, the bound and the returned row are checked, not each row's pass.
     """
     evaluator = _evaluator(system, s_views)
     bound = as_vector(bound, seed.input.shape[0])
@@ -170,7 +179,7 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
     for j in range(evaluator.n):
         jt = evaluator.row_trace(x, j)
         mask_new = _target_mask(system, jt, 0, seed.target)
-        if int(predicted_labels(jt.probs)[0]) == seed.target:
+        if int(_labels(jt.probs)[0]) == seed.target:
             x = x + mask_weight * mask_new * scale
         else:
             mask_orig = origin_masks.get(j)
@@ -180,7 +189,7 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
                     seed.target)
             overshoot = np.maximum(mask_new - mask_orig, 0.0)
             x = x - mask_weight * overshoot * scale
-    return seed.origin + np.clip(x - seed.origin, -bound, bound)
+    return as_vector(seed.origin + np.clip(x - seed.origin, -bound, bound))
 
 
 def reduce_saliency(seed: FuzzSeed, x_new, system: VFLSystem, s_views,

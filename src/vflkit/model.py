@@ -11,6 +11,10 @@ the last axis, and numpy runs a stacked matrix product as one product per
 batch, so each batch's result has the same bytes as its own lone pass. A
 flat (R*m, d) batch would not: BLAS may block and round a taller product
 differently. Parameter gradients take a 2-D batch only.
+
+``forward`` and ``backward`` check their input (float64, finite, width),
+then call the cores ``_forward`` and ``_backward``, which trust arrays the
+package built itself and keep only the contiguity copy and shape checks.
 """
 from __future__ import annotations
 
@@ -143,7 +147,11 @@ def _layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 def forward(model: LocalModel, x) -> tuple[np.ndarray, ForwardTrace]:
     """Run the layer stack on a batch of rows, or on an (..., m, d) stack of
     batches; returns (output, trace)."""
-    x = as_matrix(x, cols=model.input_dim, stack=True)
+    return _forward(model, as_matrix(x, cols=model.input_dim, stack=True))
+
+
+def _forward(model: LocalModel, x: np.ndarray):
+    x = np.ascontiguousarray(x)
     trace = ForwardTrace()
     for layer in model.layers:
         trace.inputs.append(x)
@@ -184,7 +192,12 @@ def backward(model: LocalModel, trace: ForwardTrace, grad_output,
     trace then holds the same stack, or one m-row batch that every
     gradient in the stack shares.
     """
-    grad = as_matrix(grad_output, stack=True)
+    return _backward(model, trace, as_matrix(grad_output, stack=True),
+                     n_skip_top, with_params)
+
+
+def _backward(model: LocalModel, trace: ForwardTrace, grad: np.ndarray,
+              n_skip_top: int = 0, with_params: bool = True):
     start = len(model.layers) - 1 - n_skip_top
     expected = model.layers[start].out_dim
     if grad.shape[-2:] != (trace.inputs[0].shape[-2], expected):
@@ -193,6 +206,7 @@ def backward(model: LocalModel, trace: ForwardTrace, grad_output,
             f"({trace.inputs[0].shape[-2]}, {expected})")
     if with_params and grad.ndim != 2:
         raise ValueError("parameter gradients need a 2-D batch")
+    grad = np.ascontiguousarray(grad)
     param_grads: list = [None] * len(model.layers)
     for i in range(start, -1, -1):
         grad, pg = _layer_backward(model.layers[i], trace.inputs[i], grad,

@@ -12,6 +12,10 @@ enforced by an audit over traced messages instead of encryption.
 The coordinator's passes, like the local models' (see ``model``), also take
 (..., m, k) stacks of local outputs; they join and split them on the last
 axis.
+
+As in ``model``, the public passes check their input (views, output
+gradient, probabilities); the cores ``_coordinator_backward`` and
+``_labels`` trust their caller, and so does ``party_input_grads``.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import PartitionSpec
-from .model import (LocalModel, SgdMomentum, as_matrix, backward, forward,
-                    init_model, model_from_dict, model_to_dict, _sigmoid,
+from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
+                    model_from_dict, model_to_dict, _backward, _sigmoid,
                     _softmax)
 
 SYSTEM_CHECKPOINT_VERSION = 1
@@ -167,7 +171,10 @@ def local_output(participant: Participant, view) -> np.ndarray:
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
-    probs = as_matrix(probs)
+    return _labels(as_matrix(probs))
+
+
+def _labels(probs: np.ndarray) -> np.ndarray:
     if probs.shape[1] == 1:
         return (probs[:, 0] >= 0.5).astype(np.int64)
     return probs.argmax(axis=1)
@@ -191,7 +198,12 @@ def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     ``with_params`` is set and None otherwise. ``from_logits`` treats
     grad_probs as a gradient on pre-activation scores.
     """
-    grad = as_matrix(grad_probs, stack=True)
+    return _coordinator_backward(system, jt, as_matrix(grad_probs, stack=True),
+                                 from_logits, with_params)
+
+
+def _coordinator_backward(system: VFLSystem, jt: _JointTrace, grad: np.ndarray,
+                          from_logits: bool = False, with_params: bool = False):
     coord = system.coordinator
     if coord.kind == "heterolr":
         grad_score = grad if from_logits else _activation_backward(
@@ -201,9 +213,9 @@ def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
         return branch_grads, coord_grad
     skip = 1 if from_logits and coord.top_model.layers[-1].kind in (
         "softmax", "sigmoid") else 0
-    top_params, grad_concat = backward(coord.top_model, jt.coord_trace,
-                                       grad, n_skip_top=skip,
-                                       with_params=with_params)
+    top_params, grad_concat = _backward(coord.top_model, jt.coord_trace,
+                                        grad, n_skip_top=skip,
+                                        with_params=with_params)
     branch_grads = []
     offset = 0
     for part in system.participants:
@@ -226,7 +238,7 @@ def joint_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
     input_grads = []
     local_param_grads = []
     for part, trace, bg in zip(system.participants, jt.local_traces, branch_grads):
-        pg, ig = backward(part.model, trace, bg, with_params=with_params)
+        pg, ig = _backward(part.model, trace, bg, with_params=with_params)
         input_grads.append(ig)
         local_param_grads.append(pg if with_params else None)
     return input_grads, local_param_grads, coord_grad
@@ -237,10 +249,12 @@ def party_input_grads(system: VFLSystem, jt: _JointTrace, grad_probs,
     """Input gradients of the listed participants only: the coordinator's
     backward, then the local backward of each listed participant, with no
     parameter gradients. Only those participants need a trace in ``jt``.
-    Each gradient equals the matching entry of ``joint_backward``'s."""
-    branch_grads, _ = coordinator_backward(system, jt, grad_probs, from_logits)
-    return [backward(system.participants[i].model, jt.local_traces[i],
-                     branch_grads[i], with_params=False)[1] for i in parties]
+    Each gradient equals the matching entry of ``joint_backward``'s. The
+    caller checks ``grad_probs``, a finite float64 array."""
+    branch_grads, _ = _coordinator_backward(system, jt, grad_probs,
+                                            from_logits)
+    return [_backward(system.participants[i].model, jt.local_traces[i],
+                      branch_grads[i], with_params=False)[1] for i in parties]
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LocalModel, as_matrix, as_vector, forward,
+from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
                     _layer_forward)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       party_input_grads, predicted_labels,
-                       _coordinator_forward, _JointTrace)
+                       party_input_grads, _coordinator_forward, _JointTrace,
+                       _labels)
 
 BOUND_FLOOR = 1e-6
 
@@ -47,6 +47,14 @@ def _is_integer(value) -> bool:
 def _is_finite_real(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _require(cfg, names, test, want: str):
+    """Raise ValueError naming the first field of ``cfg`` that fails."""
+    for name in names:
+        if not test(getattr(cfg, name)):
+            raise ValueError(f"{name} must be {want}, "
+                             f"got {getattr(cfg, name)!r}")
 
 
 @dataclass
@@ -70,20 +78,14 @@ class SynthesisConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("whitebox", "blackbox"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("max_rounds", "inner_steps"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, "
-                                 f"got {value!r}")
-        for name in ("alpha", "beta", "gamma", "momentum", "threshold",
-                     "fdm_step", "hvp_step"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if self.inner_lr is not None and not (
-                _is_finite_real(self.inner_lr) and self.inner_lr > 0):
-            raise ValueError(f"inner_lr must be a positive number, "
-                             f"got {self.inner_lr!r}")
+        _require(self, ("max_rounds", "inner_steps"),
+                 lambda v: _is_integer(v) and v >= 0, "a non-negative integer")
+        _require(self, ("alpha", "beta", "gamma", "momentum", "threshold",
+                        "fdm_step", "hvp_step"), _is_finite_real,
+                 "a finite number")
+        _require(self, ("inner_lr",),
+                 lambda v: v is None or _is_finite_real(v) and v > 0,
+                 "a positive number")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("objective weights must be non-negative")
         if not 0.0 <= self.momentum < 1.0:
@@ -244,15 +246,16 @@ class JointEvaluator:
 
         Only the varying party's local model runs; its trace is the one
         entry of ``local_traces`` that is not None. The result equals
-        ``joint_forward`` on the same two single-row views.
+        ``joint_forward`` on the same two single-row views. The caller
+        checks the row: a finite float64 vector of the party's width.
         """
         locals_ = self._row_locals.get(j)
         if locals_ is None:
             locals_ = self._row_locals[j] = [
-                forward(p.model, v[j][None, :])[0]
+                _forward(p.model, v[j][None, :])[0]
                 for p, v in zip(self._others, self.benign_views)]
         part = self.system.participants[self.adv_index]
-        out, trace = forward(part.model, np.asarray(x_adv)[None, :])
+        out, trace = _forward(part.model, x_adv[None, :])
         locals_ = list(locals_)
         locals_.insert(self.adv_index, out)
         traces = [None] * len(locals_)
@@ -263,7 +266,7 @@ class JointEvaluator:
     def probs_for(self, x_adv) -> np.ndarray:
         part = self.system.participants[self.adv_index]
         x_adv = as_vector(x_adv, len(part.columns))
-        local_a = forward(part.model, x_adv[None, :])[0]
+        local_a = _forward(part.model, x_adv[None, :])[0]
         if self.system.protocol == "heterolr":
             return _coordinator_forward(
                 self.system, [local_a + self._benign_score])[0]
@@ -272,7 +275,7 @@ class JointEvaluator:
         return _coordinator_forward(self.system, blocks)[0]
 
     def labels_for(self, x_adv) -> np.ndarray:
-        return predicted_labels(self.probs_for(x_adv))
+        return _labels(self.probs_for(x_adv))
 
     def attack_accuracy(self, x_adv, l_target: int) -> float:
         return float(np.mean(self.labels_for(x_adv) == l_target))
@@ -475,7 +478,7 @@ class _Whitebox(_Objective):
         self._jt = None
 
     def _benign_locals(self, rows):
-        return [forward(p.model, row[..., None, :])
+        return [_forward(p.model, row[..., None, :])
                 for p, row in zip(self.system.participants[1:], rows)]
 
     def _joint(self, adv_out, adv_trace, benign) -> _JointTrace:
@@ -489,8 +492,8 @@ class _Whitebox(_Objective):
 
     def _base(self, x_adv) -> _JointTrace:
         if x_adv is not self._x:
-            out, trace = forward(self.system.participants[0].model,
-                                 x_adv[..., None, :])
+            out, trace = _forward(self.system.participants[0].model,
+                                  x_adv[..., None, :])
             self._x = x_adv
             self._jt = self._joint(out, trace, self._benign)
         return self._jt

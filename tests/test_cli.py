@@ -315,6 +315,16 @@ class TestExitCodes:
         self._fails(capsys, code, 1, "config error: fuzz:")
 
     @pytest.mark.parametrize("key, value", [
+        ("noise_std_factor", float("nan")), ("noise_std_factor", float("inf")),
+        ("noise_std_factor", -1), ("max_iter", 2.5), ("max_iter", True),
+        ("energy", 1.5), ("budget_mins", -1), ("budget_mins", 0),
+        ("budget_mins", float("nan"))])
+    def test_bad_fuzz_number(self, tmp_path, capsys, credit_ckpt, key, value):
+        doc = {**CREDIT, "fuzz": {**CREDIT["fuzz"], key: value}}
+        code, _ = _run(tmp_path, doc, "fuzz", "--checkpoint", str(credit_ckpt))
+        self._fails(capsys, code, 1, "config error: fuzz:")
+
+    @pytest.mark.parametrize("key, value", [
         ("inner_steps", 1.5), ("inner_steps", "3"), ("inner_steps", None),
         ("inner_steps", True), ("max_rounds", "3"), ("max_rounds", -1),
         ("inner_lr", "x"), ("inner_lr", 0), ("n_inputs", 0),

@@ -456,3 +456,25 @@ class TestCooperativeSession:
         for cand in result.found:
             assert cand.accuracy > 0.95
             assert cand.provenance == "cooperative-fuzz"
+
+
+class TestCampaignConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0),
+        ("max_iter", "3"), ("energy", 1.5), ("energy", np.float64(2.0)),
+        ("noise_std_factor", float("nan")), ("noise_std_factor", float("inf")),
+        ("noise_std_factor", -0.1), ("noise_std_factor", "0.1"),
+        ("budget_secs", 0), ("budget_secs", -60.0),
+        ("budget_secs", float("nan")), ("budget_secs", float("inf")),
+        ("thresholds", (0.0, 0.99)), ("thresholds", (0.99, 0.95)),
+        ("thresholds", (0.95, 1.5)), ("thresholds", (float("nan"), 0.99)),
+        ("thresholds", (0.95,))])
+    def test_bad_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig(**{key: value})
+
+    def test_edge_values_accepted(self):
+        cfg = CampaignConfig(max_iter=np.int64(1), energy=1,
+                             noise_std_factor=0, budget_secs=0.5,
+                             thresholds=(1.0, 1.0))
+        assert cfg.max_iter == 1 and cfg.budget_secs == 0.5
