@@ -375,7 +375,7 @@ def model_from_dict(doc: dict) -> LocalModel:
 
 def save_model(model: LocalModel, path, protocol: str = "local"):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, protocol), fh, sort_keys=True)
+        fh.write(json.dumps(model_to_dict(model, protocol), sort_keys=True))
 
 
 def load_model(path) -> LocalModel:

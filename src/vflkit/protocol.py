@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
@@ -393,15 +392,31 @@ def train_splitnn(views, labels, local_dims: list[list[int]],
                 n_classes, epochs, lr, batch, seed, momentum)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``x``; each group of ties gets its average rank."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-statistic AUC (ties get average ranks)."""
+    scores = np.asarray(scores).ravel()
     labels = np.asarray(labels).ravel()
+    if scores.size != labels.size:
+        raise ValueError("scores and labels differ in length")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(np.asarray(scores).ravel())
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
@@ -531,7 +546,7 @@ def system_from_dict(doc: dict) -> VFLSystem:
 
 def save_system(system: VFLSystem, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(system), fh, sort_keys=True)
+        fh.write(json.dumps(system_to_dict(system), sort_keys=True))
 
 
 def load_system(path) -> VFLSystem:

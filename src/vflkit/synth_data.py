@@ -122,14 +122,14 @@ _GLYPH_Y0, _GLYPH_Y1 = 4.0, 24.0
 def _segment_intensity(points: np.ndarray, p1: np.ndarray,
                        p2: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Per-pixel intensity from distance to one segment, batched over
-    samples: points (m, 2), p1/p2 (n, 2), width (n, 1)."""
-    seg = p2 - p1                                    # (n, 2)
-    length2 = np.maximum((seg ** 2).sum(axis=1, keepdims=True), 1e-9)
-    diff = points[None, :, :] - p1[:, None, :]       # (n, m, 2)
-    t = (diff * seg[:, None, :]).sum(axis=2) / length2
-    t = np.clip(t, 0.0, 1.0)
-    proj = p1[:, None, :] + t[:, :, None] * seg[:, None, :]
-    d2 = ((points[None, :, :] - proj) ** 2).sum(axis=2)
+    samples: points (m, 2), p1/p2 (n, 2), width (n, 1). Runs on (n, m) x
+    and y planes: ``a + b`` gives the bytes of a sum over an (n, m, 2) pair."""
+    x, y = points[:, 0], points[:, 1]                # (m,)
+    x1, y1 = p1[:, :1], p1[:, 1:]                    # (n, 1)
+    sx, sy = p2[:, :1] - x1, p2[:, 1:] - y1
+    length2 = np.maximum(sx ** 2 + sy ** 2, 1e-9)
+    t = np.clip(((x - x1) * sx + (y - y1) * sy) / length2, 0.0, 1.0)
+    d2 = (x - (x1 + t * sx)) ** 2 + (y - (y1 + t * sy)) ** 2
     return np.exp(-d2 / (width ** 2))
 
 
