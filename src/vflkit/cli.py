@@ -540,6 +540,10 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except (TypeError, ValueError, KeyError) as exc:
+        # A config value of a wrong type or range that no key check caught.
+        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import as_matrix, as_vector, backward as model_backward, \
-    forward as model_forward
+    forward as model_forward, _forward
 from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
                        coordinator_backward, joint_forward,
-                       party_input_grads, predicted_labels,
-                       _coordinator_forward, _JointTrace, _labels)
+                       party_input_grads, _JointTrace, _labels)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
-                        spread_input_grads, _as_benign_views, _evaluator,
+                        spread_input_grads, _as_bound, _evaluator,
                         _is_finite_real, _is_integer, _require)
 
 
@@ -65,10 +64,7 @@ class CampaignConfig:
             raise ValueError("mask weight must lie in [0, 1]")
         if not 0.0 < self.stable_fraction <= 1.0:
             raise ValueError("stable fraction must lie in (0, 1]")
-        if self.bound is not None:
-            self.bound = as_vector(self.bound)
-            if np.any(self.bound <= 0):
-                raise ValueError("mutation bound must be positive per feature")
+        self.bound = _as_bound(self.bound)
 
 
 @dataclass
@@ -140,17 +136,21 @@ def is_adi(x_adv, s_views, l_target: int, system: VFLSystem,
     return evaluator.attack_accuracy(x_adv, l_target) >= stable_fraction
 
 
-def _benign_mean_score(system: VFLSystem, x_adv, s_views,
+def _benign_mean_score(system: VFLSystem, x_adv: np.ndarray, s_views,
                        calibration: SaliencyCalibration) -> float:
-    n = s_views[0].shape[0]
-    views = [np.repeat(as_vector(x_adv)[None, :], n, axis=0)] + list(s_views)
-    idx = range(1, len(system.participants))
-    norms = participant_saliency_l1(system, views)
-    scores = []
-    for i, part in zip(idx, system.participants[1:]):
-        scale = calibration.scales[part.id]
-        scores.append(np.clip(norms[:, i] / scale, 0.0, 1.0))
-    return float(np.mean(scores))
+    """Benign parties' calibrated saliency of ``x_adv`` repeated against the
+    sample, averaged; ``s_views`` may be a JointEvaluator over the sample.
+    Backpropagates into the benign parties only. The caller checks
+    ``x_adv``."""
+    evaluator = _evaluator(system, s_views)
+    out, _ = _forward(system.participants[0].model,
+                      np.repeat(x_adv[None, :], evaluator.n, axis=0))
+    jt = evaluator.join(out)
+    grads = party_input_grads(system, jt, spread_grad(jt.probs),
+                              range(1, len(system.participants)))
+    return float(np.mean([
+        np.clip(np.abs(g).sum(axis=1) / calibration.scales[part.id], 0.0, 1.0)
+        for part, g in zip(system.participants[1:], grads)]))
 
 
 def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
@@ -195,7 +195,9 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
 def reduce_saliency(seed: FuzzSeed, x_new, system: VFLSystem, s_views,
                     calibration: SaliencyCalibration) -> tuple[bool, float]:
     """Whether the mutated input strictly lowered the benign side's mean
-    saliency score versus the seed's recorded best."""
+    saliency score versus the seed's recorded best. ``s_views`` may be a
+    JointEvaluator over the benign sample."""
+    x_new = as_vector(x_new, len(system.participants[0].columns))
     score = _benign_mean_score(system, x_new, s_views, calibration)
     return score < seed.best_score, score
 
@@ -227,18 +229,17 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
         raise ValueError("corpus must be nonempty")
     if cfg.bound is None:
         raise ValueError("campaign requires a mutation bound")
-    s_views = _as_benign_views(system, s_benign)
+    sample_eval = JointEvaluator(system, s_benign)
     if calibration is None:
         raise ValueError("campaign requires a saliency calibration")
     rng = np.random.default_rng(cfg.seed)
-    sample_eval = JointEvaluator(system, s_views)
     full_eval = JointEvaluator(system, test_benign_views)
     t_start = time.monotonic()
 
     queue: deque[FuzzSeed] = deque()
     for lineage, row in enumerate(corpus):
         label, _ = sample_eval.majority_label(row)
-        score = _benign_mean_score(system, row, s_views, calibration)
+        score = _benign_mean_score(system, row, sample_eval, calibration)
         queue.append(FuzzSeed(row.copy(), label, score, lineage, row.copy()))
 
     low = cfg.thresholds[0]
@@ -269,8 +270,8 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
                     result.adis.append(cand)
                     outcome = "adi"
             else:
-                better, score = reduce_saliency(seed, x_new, system, s_views,
-                                                calibration)
+                better, score = reduce_saliency(seed, x_new, system,
+                                                sample_eval, calibration)
                 if better:
                     requeued = FuzzSeed(x_new.copy(), seed.target, score,
                                         seed.lineage_id, seed.origin)
@@ -304,32 +305,23 @@ class CooperationConfig:
     threshold: float = 0.95
     seed: int = 0
 
+    def __post_init__(self):
+        _require(self, ("n_noise", "n_inner", "n_outer"),
+                 lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
+        _require(self, ("mask_weight",),
+                 lambda v: _is_finite_real(v) and 0 <= v <= 1, "in [0, 1]")
+        _require(self, ("noise_std_factor",),
+                 lambda v: _is_finite_real(v) and v >= 0, "finite and >= 0")
+        _require(self, ("threshold",),
+                 lambda v: _is_finite_real(v) and 0 < v <= 1, "in (0, 1]")
+        self.bound = _as_bound(self.bound)
+
 
 @dataclass
 class CooperationResult:
     found: list[AdiCandidate]
     messages: list[ProtocolMessage]
     ratio_log: list[dict]
-
-
-def _benign_local_outputs(system: VFLSystem, s_views):
-    return [model_forward(part.model, view)[0]
-            for part, view in zip(system.participants[1:], s_views)]
-
-
-def _coop_joint(system: VFLSystem, adv_local: np.ndarray, benign_locals):
-    """Joint probabilities for every (adv row x benign row) pair, plus the
-    branch gradients of the output spread at the cut layer."""
-    n_adv = adv_local.shape[0]
-    n_ben = benign_locals[0].shape[0]
-    adv_rep = np.repeat(adv_local, n_ben, axis=0)
-    ben_rep = [np.tile(b, (n_adv, 1)) for b in benign_locals]
-    locals_ = [adv_rep] + ben_rep
-    probs, coord_trace = _coordinator_forward(system, locals_)
-    jt = _JointTrace([], locals_, coord_trace, probs)
-    branch_grads, _ = coordinator_backward(system, jt, spread_grad(probs))
-    return probs.reshape(n_adv, n_ben, -1), [
-        g.reshape(n_adv, n_ben, -1) for g in branch_grads]
 
 
 def run_cooperative_session(system: VFLSystem, corpus, s_benign,
@@ -343,10 +335,10 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
     retry is kept. The full trace is audited for raw-feature leaks.
     """
     corpus = as_matrix(corpus)
-    s_views = _as_benign_views(system, s_benign)
+    evaluator = JointEvaluator(system, s_benign)
     if cfg.bound is None:
         raise ValueError("cooperative session requires a mutation bound")
-    bound = as_vector(cfg.bound)
+    bound = cfg.bound
     rng = np.random.default_rng(cfg.seed)
     adv = system.participants[0]
     messages: list[ProtocolMessage] = []
@@ -361,27 +353,15 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
     # Step 1: adversary picks index seeds; benign side ships local outputs.
     pending = list(range(corpus.shape[0]))
     store = {i: corpus[i].copy() for i in pending}
-    benign_locals = _benign_local_outputs(system, s_views)
-    for part, out in zip(system.participants[1:], benign_locals):
+    for part, (out, _) in zip(system.participants[1:], evaluator.fixed()):
         send("1", part.id, "C", "local_output", out)
-    n_s = benign_locals[0].shape[0]
-
-    def asr(adv_local_row, target):
-        probs, _ = _coop_joint(system, adv_local_row, benign_locals)
-        labels = predicted_labels(probs[0])
-        return float(np.mean(labels == target))
-
-    def majority(adv_local_row):
-        probs, _ = _coop_joint(system, adv_local_row, benign_locals)
-        counts = np.bincount(predicted_labels(probs[0]),
-                             minlength=system.n_classes)
-        return int(counts.argmax())
 
     def benign_scores(index_b, branch_grad_row):
+        # Each benign party backpropagates through its own pass of the row.
         scores = []
-        for part, view, g in zip(system.participants[1:], s_views,
-                                 branch_grad_row):
-            _, trace = model_forward(part.model, view[index_b:index_b + 1])
+        for part, (_, trace), g in zip(system.participants[1:],
+                                       evaluator.fixed(index_b),
+                                       branch_grad_row):
             _, ig = model_backward(part.model, trace, g[None, :],
                                    with_params=False)
             scores.append((part.id, float(np.abs(ig).sum())))
@@ -396,55 +376,48 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
         cursor += 1
         x_current = store[index_a]
         origin = corpus[index_a]
-        l_target = majority(model_forward(adv.model, origin[None, :])[0])
+        l_target, _ = evaluator.majority_label(origin)
         noise = rng.standard_normal((cfg.n_noise, x_current.shape[0])) * (
             cfg.noise_std_factor * np.sqrt(bound))
         noised = origin + np.clip(x_current + noise - origin, -bound, bound)
-        noised_locals, noised_traces = [], []
-        for row in noised:
-            out, trace = model_forward(adv.model, row[None, :])
-            noised_locals.append(out)
-            noised_traces.append(trace)
-        send("2", adv.id, "C", "local_output", np.vstack(noised_locals))
+        noised_passes = [model_forward(adv.model, row[None, :])
+                         for row in noised]
+        noised_out = np.vstack([out for out, _ in noised_passes])
+        send("2", adv.id, "C", "local_output", noised_out)
 
         solved = False
         for _ in range(cfg.n_inner):
             # Step 3: coordinator picks one benign row, returns outputs and
             # cut-layer gradients for every noised variant.
-            index_b = int(rng.integers(n_s))
-            one_benign = [b[index_b:index_b + 1] for b in benign_locals]
-            probs, branch = _coop_joint(system, np.vstack(noised_locals),
-                                        one_benign)
-            send("3", "C", adv.id, "joint_output", probs[:, 0, :])
-            send("3", "C", adv.id, "gradient_wrt_local_output", branch[0][:, 0, :])
+            index_b = int(rng.integers(evaluator.n))
+            jt = evaluator.join(noised_out, j=index_b, batched=True)
+            branch, _ = coordinator_backward(system, jt, spread_grad(jt.probs))
+            send("3", "C", adv.id, "joint_output", jt.probs)
+            send("3", "C", adv.id, "gradient_wrt_local_output", branch[0])
             for part, g in zip(system.participants[1:], branch[1:]):
-                send("3", "C", part.id, "gradient_wrt_local_output", g[:, 0, :])
+                send("3", "C", part.id, "gradient_wrt_local_output", g)
 
             # Step 4: adversary reports its highest saliency score; benign
             # side reports its original scores.
-            adv_scores = []
-            for trace, g in zip(noised_traces, branch[0][:, 0, :]):
-                _, ig = model_backward(adv.model, trace, g[None, :],
-                                       with_params=False)
-                adv_scores.append(float(np.abs(ig).sum()))
+            adv_grads = [model_backward(adv.model, trace, g[None, :],
+                                        with_params=False)[1]
+                         for (_, trace), g in zip(noised_passes, branch[0])]
+            adv_scores = [float(np.abs(ig).sum()) for ig in adv_grads]
             best_idx = int(np.argmax(adv_scores))
             score_orig_a = adv_scores[best_idx]
             send("4", adv.id, "C", "saliency_score", [score_orig_a])
-            per_benign = benign_scores(index_b, [g[best_idx, 0] for g in branch[1:]])
+            per_benign = benign_scores(index_b, [g[best_idx] for g in branch[1:]])
             for pid, score in per_benign:
                 send("4", pid, "C", "saliency_score", [score])
             score_orig_b = sum(s for _, s in per_benign)
 
             # Step 5: coordinator computes the attack-success rate.
-            orig_acc = asr(noised_locals[best_idx], l_target)
+            orig_acc = evaluator.attack_accuracy(noised[best_idx], l_target)
             send("5", "C", adv.id, "attack_success_rate", [orig_acc])
 
             # Step 6: adversary masks its best variant and resubmits.
             best_row = noised[best_idx]
-            _, ig = model_backward(adv.model, noised_traces[best_idx],
-                                   branch[0][best_idx, 0][None, :],
-                                   with_params=False)
-            mask = np.abs(ig[0])
+            mask = np.abs(adv_grads[best_idx][0])
             peak = mask.max()
             if peak > 0:
                 mask = mask / peak
@@ -454,20 +427,21 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
             send("6", adv.id, "C", "local_output", masked_local)
 
             # Step 7: coordinator returns output, gradients, masked ASR.
-            _, branch_m = _coop_joint(system, masked_local, one_benign)
-            masked_acc = asr(masked_local, l_target)
+            jt = evaluator.join(masked_local, j=index_b, batched=True)
+            branch_m, _ = coordinator_backward(system, jt,
+                                               spread_grad(jt.probs))
+            masked_acc = evaluator.attack_accuracy(masked, l_target)
             send("7", "C", adv.id, "attack_success_rate", [masked_acc])
-            send("7", "C", adv.id, "gradient_wrt_local_output",
-                 branch_m[0][:, 0, :])
+            send("7", "C", adv.id, "gradient_wrt_local_output", branch_m[0])
             for part, g in zip(system.participants[1:], branch_m[1:]):
-                send("7", "C", part.id, "gradient_wrt_local_output", g[:, 0, :])
+                send("7", "C", part.id, "gradient_wrt_local_output", g)
 
             # Step 8: both sides report masked saliency scores.
             _, ig = model_backward(adv.model, masked_trace,
-                                   branch_m[0][0, 0][None, :], with_params=False)
+                                   branch_m[0][0][None, :], with_params=False)
             score_masked_a = float(np.abs(ig).sum())
             send("8", adv.id, "C", "saliency_score", [score_masked_a])
-            per_benign_m = benign_scores(index_b, [g[0, 0] for g in branch_m[1:]])
+            per_benign_m = benign_scores(index_b, [g[0] for g in branch_m[1:]])
             for pid, score in per_benign_m:
                 send("8", pid, "C", "saliency_score", [score])
             score_masked_b = sum(s for _, s in per_benign_m)
@@ -500,7 +474,7 @@ def run_cooperative_session(system: VFLSystem, corpus, s_benign,
         # Step 12: move on to the next candidate (repeat from step 2).
 
     raw = {part.id: view for part, view in
-           zip(system.participants[1:], s_views)}
+           zip(system.participants[1:], evaluator.benign_views)}
     raw[adv.id] = corpus
     violations = audit_trace(messages, raw)
     if violations:

@@ -13,6 +13,11 @@ The coordinator's passes, like the local models' (see ``model``), also take
 (..., m, k) stacks of local outputs; they join and split them on the last
 axis.
 
+Every joint inference runs ``_joint_trace``: the coordinator's pass over the
+parties' local outputs in party order. A party's single row pairs with each
+of the others' rows; the SplitNN head broadcasts it before concatenating,
+the HeteroLR head's sum broadcasts it by itself.
+
 As in ``model``, the public passes check their input (views, output
 gradient, probabilities); the cores ``_coordinator_backward`` and
 ``_labels`` trust their caller, and so does ``party_input_grads``.
@@ -20,6 +25,7 @@ gradient, probabilities); the cores ``_coordinator_backward`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,16 +154,26 @@ def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
     return probs, trace
 
 
+def _joint_trace(system: VFLSystem, passes: list) -> _JointTrace:
+    """Joint trace of the parties' local (output, trace) ``passes``, the
+    trace None for a party not backpropagated into; see the module
+    docstring."""
+    outs = [out for out, _ in passes]
+    if system.coordinator.kind == "splitnn":
+        lead = max((out.shape[:-1] for out in outs), key=math.prod)
+        joined = [out if out.shape[:-1] == lead else
+                  np.broadcast_to(out, lead + out.shape[-1:]) for out in outs]
+    else:
+        joined = outs
+    probs, coord_trace = _coordinator_forward(system, joined)
+    return _JointTrace([trace for _, trace in passes], outs, coord_trace,
+                       probs)
+
+
 def joint_forward(system: VFLSystem, views) -> _JointTrace:
     views = _check_views(system, views)
-    local_traces = []
-    local_outputs = []
-    for part, view in zip(system.participants, views):
-        out, trace = forward(part.model, view)
-        local_traces.append(trace)
-        local_outputs.append(out)
-    probs, coord_trace = _coordinator_forward(system, local_outputs)
-    return _JointTrace(local_traces, local_outputs, coord_trace, probs)
+    return _joint_trace(system, [forward(part.model, view) for part, view
+                                 in zip(system.participants, views)])
 
 
 def joint_inference(system: VFLSystem, views) -> np.ndarray:

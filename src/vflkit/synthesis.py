@@ -34,8 +34,8 @@ import numpy as np
 from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
                     _layer_forward)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       party_input_grads, _coordinator_forward, _JointTrace,
-                       _labels)
+                       party_input_grads, _coordinator_forward, _joint_trace,
+                       _JointTrace, _labels)
 
 BOUND_FLOOR = 1e-6
 
@@ -55,6 +55,15 @@ def _require(cfg, names, test, want: str):
         if not test(getattr(cfg, name)):
             raise ValueError(f"{name} must be {want}, "
                              f"got {getattr(cfg, name)!r}")
+
+
+def _as_bound(bound) -> np.ndarray | None:
+    """A config's per-feature mutation bound as a positive vector, or None."""
+    if bound is not None:
+        bound = as_vector(bound)
+        if np.any(bound <= 0):
+            raise ValueError("mutation bound must be positive per feature")
+    return bound
 
 
 @dataclass
@@ -94,10 +103,7 @@ class SynthesisConfig:
             raise ValueError("threshold must lie in (0, 1]")
         if self.fdm_step <= 0 or self.hvp_step <= 0:
             raise ValueError("difference steps must be positive")
-        if self.bound is not None:
-            self.bound = as_vector(self.bound)
-            if np.any(self.bound <= 0):
-                raise ValueError("mutation bound must be positive per feature")
+        self.bound = _as_bound(self.bound)
         if self.strategy == "bounded" and self.bound is None:
             raise ValueError("bounded strategy requires a mutation bound")
 
@@ -204,23 +210,25 @@ def _as_benign_views(system: VFLSystem, benign,
         benign = benign.rows
     if isinstance(benign, np.ndarray) or not isinstance(benign, (list, tuple)):
         return split_benign(system, benign, adv_index)
-    return [as_matrix(v) for v in benign]
+    views = [as_matrix(v) for v in benign]
+    if len({v.shape[0] for v in views}) > 1:
+        raise ValueError("benign views disagree on row count: "
+                         f"{[v.shape[0] for v in views]}")
+    return views
 
 
 class JointEvaluator:
     """Joint inference of one varying row against fixed rows of the others.
 
-    The fixed sides' local outputs are computed once, so repeated queries
-    against the same benign set cost only the varying party's forward plus
-    the coordinator's own head (``protocol._coordinator_forward``).
-    ``adv_index`` selects which participant varies (default: the first,
-    the adversary-side party).
-
-    ``row_trace`` pairs the varying row with one fixed row at a time. It
-    uses each fixed row's own single-row local outputs, which are computed
-    on first use: rows sliced from the batched outputs can differ from them
-    in the last bits. ``memo`` holds values that callers derive from the
-    fixed rows; it lives exactly as long as the evaluator.
+    The one holder of the fixed parties' local passes: a query runs only the
+    varying party's model and ``protocol._joint_trace``. Its two sets of
+    passes are the batched pass over all fixed rows, run at construction,
+    and each fixed row's own single-row pass, run on first use (rows sliced
+    from the batched outputs can differ from it in the last bits). ``join``
+    pairs a varying output with either. ``adv_index`` selects which
+    participant varies (default: the first, the adversary-side party).
+    ``memo`` holds values that callers derive from the fixed rows; it lives
+    exactly as long as the evaluator.
     """
 
     def __init__(self, system: VFLSystem, benign_views, adv_index: int = 0):
@@ -230,49 +238,48 @@ class JointEvaluator:
         if len(self.benign_views) != len(system.participants) - 1:
             raise ValueError("one view per benign participant required")
         self.n = self.benign_views[0].shape[0] if self.benign_views else 1
-        self._others = [p for i, p in enumerate(system.participants)
+        self._varying = system.participants[adv_index]
+        self._models = [p.model for i, p in enumerate(system.participants)
                         if i != adv_index]
-        locals_ = [forward(p.model, v)[0] for p, v in
-                   zip(self._others, self.benign_views)]
-        if system.protocol == "heterolr":
-            self._benign_score = sum(locals_)
-        else:
-            self._fixed_locals = locals_
-        self._row_locals: dict[int, list[np.ndarray]] = {}
+        self._batched = [forward(m, v)
+                         for m, v in zip(self._models, self.benign_views)]
+        self._rows: dict[int, list] = {}
         self.memo: dict = {}
 
-    def row_trace(self, x_adv, j: int) -> _JointTrace:
-        """Traced joint pass of the varying row against fixed row ``j``.
+    def fixed(self, j: int | None = None) -> list:
+        """The fixed parties' (output, trace) passes: batched, or row
+        ``j``'s."""
+        if j is None:
+            return self._batched
+        passes = self._rows.get(j)
+        if passes is None:
+            passes = self._rows[j] = [
+                _forward(m, v[j][None, :])
+                for m, v in zip(self._models, self.benign_views)]
+        return passes
 
-        Only the varying party's local model runs; its trace is the one
-        entry of ``local_traces`` that is not None. The result equals
-        ``joint_forward`` on the same two single-row views. The caller
-        checks the row: a finite float64 vector of the party's width.
-        """
-        locals_ = self._row_locals.get(j)
-        if locals_ is None:
-            locals_ = self._row_locals[j] = [
-                _forward(p.model, v[j][None, :])[0]
-                for p, v in zip(self._others, self.benign_views)]
-        part = self.system.participants[self.adv_index]
-        out, trace = _forward(part.model, x_adv[None, :])
-        locals_ = list(locals_)
-        locals_.insert(self.adv_index, out)
-        traces = [None] * len(locals_)
-        traces[self.adv_index] = trace
-        probs, coord_trace = _coordinator_forward(self.system, locals_)
-        return _JointTrace(traces, locals_, coord_trace, probs)
+    def join(self, out, trace=None, j: int | None = None,
+             batched: bool = False) -> _JointTrace:
+        """Joint trace of the varying party's local output ``out`` (with its
+        ``trace``, to backpropagate into it) and ``fixed(j)``. With
+        ``batched``, fixed row ``j`` is row ``j`` of the batched outputs, as
+        the fixed parties ship them to the coordinator, with no trace. The
+        caller checks ``out``."""
+        passes = self.fixed(None if batched else j)
+        if batched:
+            passes = [(o[j:j + 1], None) for o, _ in passes]
+        i = self.adv_index
+        return _joint_trace(self.system,
+                            passes[:i] + [(out, trace)] + passes[i:])
+
+    def row_trace(self, x_adv, j: int) -> _JointTrace:
+        """``joint_forward`` of the varying row and fixed row ``j``. The
+        caller checks the row: a finite float64 vector of the party's width."""
+        return self.join(*_forward(self._varying.model, x_adv[None, :]), j)
 
     def probs_for(self, x_adv) -> np.ndarray:
-        part = self.system.participants[self.adv_index]
-        x_adv = as_vector(x_adv, len(part.columns))
-        local_a = _forward(part.model, x_adv[None, :])[0]
-        if self.system.protocol == "heterolr":
-            return _coordinator_forward(
-                self.system, [local_a + self._benign_score])[0]
-        blocks = list(self._fixed_locals)
-        blocks.insert(self.adv_index, np.repeat(local_a, self.n, axis=0))
-        return _coordinator_forward(self.system, blocks)[0]
+        x_adv = as_vector(x_adv, len(self._varying.columns))
+        return self.join(_forward(self._varying.model, x_adv[None, :])[0]).probs
 
     def labels_for(self, x_adv) -> np.ndarray:
         return _labels(self.probs_for(x_adv))
@@ -481,21 +488,14 @@ class _Whitebox(_Objective):
         return [_forward(p.model, row[..., None, :])
                 for p, row in zip(self.system.participants[1:], rows)]
 
-    def _joint(self, adv_out, adv_trace, benign) -> _JointTrace:
-        # A block's rows share the round's single-row benign outputs.
-        locals_ = [adv_out] + [np.broadcast_to(out, adv_out.shape[:-1] +
-                                               out.shape[-1:])
-                               for out, _ in benign]
-        probs, coord_trace = _coordinator_forward(self.system, locals_)
-        return _JointTrace([adv_trace] + [trace for _, trace in benign],
-                           locals_, coord_trace, probs)
-
     def _base(self, x_adv) -> _JointTrace:
         if x_adv is not self._x:
             out, trace = _forward(self.system.participants[0].model,
                                   x_adv[..., None, :])
             self._x = x_adv
-            self._jt = self._joint(out, trace, self._benign)
+            # A block's rows share the round's single-row benign outputs.
+            self._jt = _joint_trace(self.system,
+                                    [(out, trace)] + self._benign)
         return self._jt
 
     def loss_grad(self, x_adv):
@@ -512,8 +512,9 @@ class _Whitebox(_Objective):
 
     def _adv_spread_grad(self, x_adv, rows):
         base = self._base(x_adv)
-        jt = self._joint(base.local_outputs[0], base.local_traces[0],
-                         self._benign_locals(rows))
+        jt = _joint_trace(self.system, [(base.local_outputs[0],
+                                         base.local_traces[0])]
+                          + self._benign_locals(rows))
         return party_input_grads(self.system, jt, spread_grad(jt.probs),
                                  [0])[0][..., 0, :]
 

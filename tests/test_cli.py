@@ -336,3 +336,42 @@ class TestExitCodes:
         code, _ = _run(tmp_path, doc, "synthesize",
                        "--checkpoint", str(credit_ckpt))
         self._fails(capsys, code, 1, "config error: synthesis:")
+
+
+_FIXTURE = {"weights": [0.4, 0.6], "mus": [-1.0, 0.5], "sigmas": [0.5, 1.5]}
+
+
+class TestBadConfigValues:
+    """A config value of the wrong type or range that no key check catches
+    still exits 1 with a ``config error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("dominance", "dominance", "n_rows", "abc"),
+        ("dominance", "dominance", "thresholds", "x"),
+        ("fuzz", "fuzz", "corpus", "sample:abc"),
+        ("fuzz", "fuzz", "corpus", [[0.0] * 13, [0.0] * 12]),
+        ("fuzz", "fuzz", "corpus", [[0.0] * 12]),
+        ("synthesize", "dataset", "tiny_size", 0),
+        ("synthesize", "dataset", "tiny_size", "a"),
+        ("train", "dataset", "n", "a"),
+        ("train", "dataset", "test_fraction", 2.0),
+        ("train", "train", "epochs", "a"),
+        ("train", "train", "batch", 0),
+        ("train", "partition", "counts", "ab"),
+        ("variance", "variance", "n_mc", 0),
+        ("variance", "variance", "fixture",
+         {"weights": [0.4, 0.6], "sigmas": [0.5, 1.5]}),
+        ("svd", "svd", "h", "a"),
+    ])
+    def test_exits_one(self, tmp_path, capsys, credit_ckpt, command, section,
+                       key, value):
+        doc = dict(CREDIT)
+        if command == "variance":
+            doc = {"seed": 0, "variance": {"n_mc": 2000, "fixture": _FIXTURE}}
+        doc[section] = {**doc.get(section, {}), key: value}
+        code, _ = _run(tmp_path, doc, command, "--checkpoint",
+                       str(credit_ckpt))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "Traceback" not in err

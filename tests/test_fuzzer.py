@@ -478,3 +478,23 @@ class TestCampaignConfig:
                              noise_std_factor=0, budget_secs=0.5,
                              thresholds=(1.0, 1.0))
         assert cfg.max_iter == 1 and cfg.budget_secs == 0.5
+
+
+class TestCooperationConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("n_noise", 0), ("n_noise", 2.0), ("n_inner", 2.5), ("n_inner", True),
+        ("n_outer", -1), ("n_outer", "3"), ("mask_weight", -3),
+        ("mask_weight", 1.5), ("mask_weight", float("nan")),
+        ("noise_std_factor", -0.1), ("noise_std_factor", float("inf")),
+        ("threshold", 1.5), ("threshold", 0.0), ("threshold", "0.9"),
+        ("bound", [1.0, 0.0]), ("bound", [1.0, float("nan")])])
+    def test_bad_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key if key != "bound" else
+                           "bound|finite"):
+            CooperationConfig(**{key: value})
+
+    def test_edge_values_accepted(self):
+        cfg = CooperationConfig(n_noise=np.int64(1), n_inner=1, n_outer=1,
+                                mask_weight=0, noise_std_factor=0,
+                                threshold=1.0, bound=[0.5, 2.0])
+        assert cfg.n_noise == 1 and cfg.bound.tolist() == [0.5, 2.0]
