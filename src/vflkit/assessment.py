@@ -236,7 +236,8 @@ def _sweep(features, labels, specs, train_seeds, train_cfg: dict,
                                   epochs=train_cfg.get("epochs", 10),
                                   lr=train_cfg.get("lr", 0.05),
                                   batch=train_cfg.get("batch", 64),
-                                  seed=train_seed)
+                                  seed=train_seed,
+                                  momentum=train_cfg.get("momentum", 0.9))
         accuracy = evaluate(system, test_views, labels[test_idx])["accuracy"]
         benign = test_views[1:]
         dom = dominating_rate(system, test_views[0][:n_dominance], benign,

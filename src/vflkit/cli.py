@@ -118,7 +118,6 @@ def _load_dataset(cfg: dict) -> Dataset:
         elif kind == "synthetic":
             name = spec.get("name")
             n = spec.get("n")
-            seed = spec.get("split_seed", 7)
             if name == "credit":
                 ds = synth_data.make_credit_like(n or synth_data.CREDIT_N)
             elif name == "vehicle":
@@ -462,12 +461,12 @@ def cmd_sweep(cfg: dict, args) -> int:
     synth = sweep.get("synthesis", {})
     scfg = _synthesis_config({"synthesis": synth}, args, ds.features)
     mult = synth.get("bound_multiplier", 1.0)
+    # The train section overrides these defaults; momentum defaults to 0.9
+    # in the sweep and is reported only where the config sets it.
     train_cfg = {
         "local_hidden": cfg.get("model", {}).get("local_hidden", [128, 64]),
         "top_hidden": cfg.get("model", {}).get("top_hidden", [64]),
-        "epochs": cfg.get("train", {}).get("epochs", 10),
-        "lr": cfg.get("train", {}).get("lr", 0.05),
-        "batch": cfg.get("train", {}).get("batch", 64),
+        "epochs": 10, "lr": 0.05, "batch": 64, **cfg.get("train", {}),
     }
     if kind == "ratio":
         ratios = sweep.get("ratios", [0.40, 0.65, 1.00, 1.33, 1.80, 2.11])

@@ -60,10 +60,10 @@ class CampaignConfig:
         _require(self, ("thresholds",), lambda t: len(t) == 2 and all(
             map(_is_finite_real, t)) and 0 < t[0] <= t[1] <= 1,
                  "(low, high) with 0 < low <= high <= 1")
-        if not 0.0 <= self.mask_weight <= 1.0:
-            raise ValueError("mask weight must lie in [0, 1]")
-        if not 0.0 < self.stable_fraction <= 1.0:
-            raise ValueError("stable fraction must lie in (0, 1]")
+        _require(self, ("mask_weight",),
+                 lambda v: _is_finite_real(v) and 0 <= v <= 1, "in [0, 1]")
+        _require(self, ("stable_fraction",),
+                 lambda v: _is_finite_real(v) and 0 < v <= 1, "in (0, 1]")
         self.bound = _as_bound(self.bound)
 
 

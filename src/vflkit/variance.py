@@ -7,13 +7,18 @@ Gaussian stand-ins for the sigmoid (CDF scale 1.699, PDF scale 1.630, the
 least-squares fits); the ReLU protocol's variance comes from truncated
 normal moments. Every analytic value is cross-checkable against the
 Monte-Carlo estimator in this module.
+
+The standard normal CDF is computed here, as erfc(-x / sqrt 2) / 2 from
+``math.erfc``. The hazard ratio phi/Phi is evaluated directly down to
+x = -30; below that, where Phi nears underflow, it follows the Mills-ratio
+asymptotic series (Abramowitz & Stegun 26.2.12).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 # Least-squares Gaussian stand-ins for the sigmoid and its derivative.
 SIGMOID_CDF_SCALE = 1.699
@@ -23,9 +28,11 @@ COV_FLOOR = 1e-9
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
 
 def std_normal_cdf(x):
-    return ndtr(x)
+    return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def std_normal_pdf(x):
@@ -34,10 +41,12 @@ def std_normal_pdf(x):
 
 
 def _hazard_pos(x):
-    """phi(x)/Phi(x), stable for very negative x via log-space."""
+    """phi(x)/Phi(x); below -30, the Mills-ratio series to the x^-8 term."""
     x = np.asarray(x, dtype=np.float64)
-    log_phi = -0.5 * x * x - np.log(_SQRT_2PI)
-    return np.exp(log_phi - log_ndtr(x))
+    lo, hi = np.minimum(x, -30.0), np.maximum(x, -30.0)
+    z = 1.0 / (lo * lo)
+    series = -lo / (1.0 - z * (1.0 - z * (3.0 - z * (15.0 - 105.0 * z))))
+    return np.where(x < -30.0, series, std_normal_pdf(hi) / std_normal_cdf(hi))
 
 
 @dataclass
@@ -104,13 +113,17 @@ def _log_gauss(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     return -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
 
 
-def gmm_log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
-    comp = np.stack([
-        np.log(w) + _log_gauss(data, m, c)
-        for w, m, c in zip(gmm.weights, gmm.means, gmm.covs)
-    ], axis=1)
+def _log_mixture(weights, means, covs, data: np.ndarray):
+    """(n, K) log weight plus log density per component, and the (n, 1)
+    log mixture density, by log-sum-exp over the components."""
+    comp = np.stack([np.log(w) + _log_gauss(data, m, c)
+                     for w, m, c in zip(weights, means, covs)], axis=1)
     mx = comp.max(axis=1, keepdims=True)
-    return float(np.sum(mx[:, 0] + np.log(np.sum(np.exp(comp - mx), axis=1))))
+    return comp, mx + np.log(np.sum(np.exp(comp - mx), axis=1, keepdims=True))
+
+
+def gmm_log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
+    return float(_log_mixture(gmm.weights, gmm.means, gmm.covs, data)[1].sum())
 
 
 def fit_gmm_em(data, k: int, max_iters: int = 200, tol: float = 1e-7,
@@ -137,12 +150,7 @@ def fit_gmm_em(data, k: int, max_iters: int = 200, tol: float = 1e-7,
     history: list[float] = []
     for _ in range(max_iters):
         # E step in log space.
-        comp = np.stack([
-            np.log(w) + _log_gauss(data, m, c)
-            for w, m, c in zip(weights, means, covs)
-        ], axis=1)
-        mx = comp.max(axis=1, keepdims=True)
-        log_norm = mx + np.log(np.sum(np.exp(comp - mx), axis=1, keepdims=True))
+        comp, log_norm = _log_mixture(weights, means, covs, data)
         history.append(float(log_norm.sum()))
         resp = np.exp(comp - log_norm)
 
@@ -184,7 +192,7 @@ def heterolr_variance(sm: ScalarMixture, clamp: bool = True) -> float:
     the clamp (pass clamp=False for the raw value).
     """
     denom_cdf = np.sqrt(SIGMOID_CDF_SCALE ** 2 + sm.sigmas ** 2)
-    mean_g = float(np.sum(sm.weights * ndtr(sm.mus / denom_cdf)))
+    mean_g = float(np.sum(sm.weights * std_normal_cdf(sm.mus / denom_cdf)))
     var_pdf = sm.sigmas ** 2 + SIGMOID_PDF_SCALE ** 2
     mean_gprime = float(np.sum(
         sm.weights / _SQRT_2PI / np.sqrt(var_pdf)
@@ -209,7 +217,7 @@ def relu_moments(sm: ScalarMixture) -> tuple[float, float, float]:
                 m2 += w * mu * mu
             continue
         r = mu / sig
-        cdf = ndtr(r)
+        cdf = std_normal_cdf(r)
         pdf = std_normal_pdf(r)
         p += w * cdf
         m1 += w * (mu * cdf + sig * pdf)
@@ -245,7 +253,7 @@ def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact",
             continue
         r = mu / sig
         h = float(_hazard_pos(r))
-        p_pos += w * ndtr(r)
+        p_pos += w * std_normal_cdf(r)
         e_cond += w * (mu + sig * h)
         v_cond += w * w * sig * sig * (1.0 - r * h - h * h)
     raw = p_pos * (v_cond + e_cond * e_cond * (1.0 - p_pos))
@@ -303,12 +311,12 @@ def bounded_existence_check(r_max: float, r_min: float, mu_max: float,
         disc = k * k - 4.0 * eps * k
         if disc < 0:
             return False
-        return bool(ndtr(r_max) <= (k + np.sqrt(disc)) / 2.0)
+        return bool(std_normal_cdf(r_max) <= (k + np.sqrt(disc)) / 2.0)
     if protocol == "splitnn":
-        phi_rmax = ndtr(r_max)
+        phi_rmax = std_normal_cdf(r_max)
         bound = phi_rmax + 0.25 * phi_rmax * mu_min ** 2 + 0.25 * mu_max ** 2
         if sigma_max > 0.0:
-            denom = ndtr(r_min)
+            denom = std_normal_cdf(r_min)
             if denom == 0.0:
                 return False
             bound += 0.25 * sigma_max ** 2 * (std_normal_pdf(r_max) / denom) ** 2

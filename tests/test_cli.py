@@ -4,13 +4,17 @@ Every subcommand runs in-process on a tiny config; its report rows and
 candidate/campaign files are pinned to ``tests/golden/cli.json``.
 """
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import golden
-from vflkit import cli, synth_data
+from vflkit import assessment, cli, synth_data
 from vflkit.data import PartitionSpec, partition_vertical
+from vflkit.protocol import train_splitnn
 
 CREDIT = {
     "seed": 0,
@@ -375,3 +379,38 @@ class TestBadConfigValues:
         assert code == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+
+def test_variance_runs_with_scipy_blocked(tmp_path):
+    """``vflkit variance`` in an interpreter where importing scipy fails
+    writes the rows of an in-process run."""
+    doc = {"seed": 3, "variance": {"n_mc": 2000, "fixture": _FIXTURE}}
+    code, out = _run(tmp_path, doc, "variance")
+    assert code == 0
+    blocked = tmp_path / "blocked"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, "
+           f"{src!r}); from vflkit import cli; sys.exit(cli.main(["
+           f"'variance', {str(tmp_path / 'variance.json')!r}, "
+           f"'--output-dir', {str(blocked)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert _report(blocked, "variance")["rows"] == \
+        _report(out, "variance")["rows"]
+
+
+@pytest.mark.parametrize("train, want", [({"momentum": 0.5}, 0.5), ({}, 0.9)])
+def test_sweep_trains_with_the_configured_momentum(tmp_path, monkeypatch,
+                                                   train, want):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["momentum"])
+        return train_splitnn(*args, **kwargs)
+
+    monkeypatch.setattr(assessment, "train_splitnn", recording)
+    doc = {**DIGITS, "train": {**DIGITS["train"], **train}}
+    code, _ = _run(tmp_path, doc, "sweep")
+    assert code == 0
+    assert seen == [want]

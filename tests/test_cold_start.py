@@ -129,6 +129,19 @@ def test_import_does_not_load_scipy_stats():
     assert out.strip() == "[]"
 
 
+def test_import_does_not_load_scipy():
+    # The package needs numpy alone; scipy is a test dependency only.
+    src = str(Path(vflkit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, vflkit, vflkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestCheckpointText:
     def test_system_file_is_sorted_dumps(self, toy_logistic_system,
                                          digits_setup, tmp_path):

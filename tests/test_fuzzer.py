@@ -479,6 +479,23 @@ class TestCampaignConfig:
                              thresholds=(1.0, 1.0))
         assert cfg.max_iter == 1 and cfg.budget_secs == 0.5
 
+    @pytest.mark.parametrize("key, value", [
+        ("mask_weight", "a"), ("mask_weight", None), ("mask_weight", True),
+        ("mask_weight", -0.1), ("mask_weight", 1.5),
+        ("mask_weight", float("nan")), ("stable_fraction", None),
+        ("stable_fraction", "1"), ("stable_fraction", 0),
+        ("stable_fraction", 1.01), ("stable_fraction", float("inf"))])
+    def test_fraction_rejected_with_its_name(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig(**{key: value})
+
+    def test_fraction_edges_accepted(self):
+        for mask_weight, stable_fraction in ((0, 1.0), (1.0, 1e-9),
+                                             (np.float64(0.5), np.int64(1))):
+            cfg = CampaignConfig(mask_weight=mask_weight,
+                                 stable_fraction=stable_fraction)
+            assert cfg.mask_weight == mask_weight
+
 
 class TestCooperationConfig:
     @pytest.mark.parametrize("key, value", [
