@@ -64,9 +64,9 @@ class ExperimentReport:
                 writer.writerow({c: row.get(c) for c in self.columns})
 
 
-def report_filename(kind: str, seed: int, ext: str = "json") -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"{kind}-{seed}-{stamp}.{ext}"
+def report_filename(name: str, report: ExperimentReport, ext="json") -> str:
+    """The same kind, config and seed give the same name."""
+    return f"{name}-{report.seed}-{report.artifact_hash}.{ext}"
 
 
 def dominating_rate(system: VFLSystem, adv_rows, benign_views,

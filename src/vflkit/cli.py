@@ -247,10 +247,9 @@ def _tiny_sample(cfg: dict, benign):
 
 
 def _write_report(out: Path, name: str, report, with_csv: bool = True):
-    stem = assessment.report_filename(name, report.seed, "")[:-1]
-    report.write_json(out / f"{stem}.json")
+    report.write_json(out / assessment.report_filename(name, report))
     if with_csv:
-        report.write_csv(out / f"{stem}.csv")
+        report.write_csv(out / assessment.report_filename(name, report, "csv"))
 
 
 def cmd_train(cfg: dict, args) -> int:

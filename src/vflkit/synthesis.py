@@ -18,9 +18,10 @@ Several adversary rows are synthesised in lockstep: at round t every row
 descends against the same benign row, so each round's objective takes an
 (R, d) block of rows with one target label each. The whitebox passes run
 as (R, 1, d) stacks (see ``model``); blackbox mode answers each row's
-batches on their own. Each row's result has the same bytes as its own
-``adi_generate`` run. A row leaves the block at the sweep boundary where
-it dominates, as a lone run would stop there.
+batches in turn from local blocks built once: one adversary block per row
+per inner step, the benign rows' once per round. Each row's result has the
+same bytes as its own ``adi_generate`` run. A row leaves the block at the
+sweep boundary where it dominates, as a lone run would stop there.
 """
 from __future__ import annotations
 
@@ -349,6 +350,11 @@ def fdm_gradient(fn_batch, x: np.ndarray, delta: float) -> np.ndarray:
     answers the same d+1 queries without materialising the batch, and is
     tested against this function over ``joint_forward``.
     """
+    if np.ndim(x) != 1:
+        raise ValueError(f"x must be one row, got ndim={np.ndim(x)}")
+    if not (_is_finite_real(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    x = as_vector(x)
     vals = np.asarray(fn_batch(_fd_batch(x, delta)), dtype=np.float64).ravel()
     return (vals[1:] - vals[0]) / delta
 
@@ -428,10 +434,10 @@ class _Objective:
     spread gradient along the sign of the benign side's spread gradient;
     subclasses supply both spread gradients and the target-loss gradient.
 
-    ``x_adv`` is one adversary row (d,) with one ``l_target``. A subclass
-    whose passes take stacks (``_Whitebox``) also takes an (R, d) block of
-    rows with an (R,) array of labels; gradients come back in the shape of
-    ``x_adv``, and the benign rows passed to ``_adv_spread_grad`` are then
+    ``x_adv`` is one adversary row (d,) with one ``l_target``, or an (R, d)
+    block of rows with an (R,) array of labels; gradients come back in the
+    shape of ``x_adv``. Where a subclass's passes take stacks
+    (``_Whitebox``), the benign rows passed to ``_adv_spread_grad`` are then
     one (R, w) block per benign participant.
     """
 
@@ -528,41 +534,76 @@ class _Blackbox(_Objective):
     simulation answers a batch from its structure instead of running it
     row by row (``_fd_local_outputs``); the answers match ``fdm_gradient``
     over ``joint_forward`` on the same rows up to rounding.
+
+    Each local block is built once: the adversary's once per distinct row
+    per inner step (keyed on its value) for the row's four batches, the
+    benign rows' when the round's objective is built, for every row. Fixed
+    parties' single-row outputs join a batch as broadcast views. An (R, d)
+    block of rows with (R,) labels runs each row's batches in turn.
     """
 
-    def _fd_grad(self, x_adv, rows, vary_adv: bool, fn):
-        """Forward-difference gradient of ``fn`` (joint output rows to
-        scalars) in the adversary's row, or in the benign rows when
-        ``vary_adv`` is False. A fixed party runs one single-row local pass;
-        each varying party's perturbed rows fill its own block of rows."""
-        delta = self.cfg.fdm_step
-        inputs = [x_adv] + list(rows)
-        varying = [(i == 0) == vary_adv for i in range(len(inputs))]
-        m = 1 + sum(x.shape[0] for x, v in zip(inputs, varying) if v)
-        blocks = []
+    def __init__(self, system: VFLSystem, benign_rows, l_target,
+                 cfg: SynthesisConfig):
+        super().__init__(system, benign_rows, l_target, cfg)
+        self._adv: dict[bytes, np.ndarray] = {}
+        self._fixed = self._outputs(self.rows)
+        # Each benign party's perturbed rows fill its own block of rows.
+        m = 1 + sum(row.shape[0] for row in self.rows)
+        self._blocks = []
         offset = 1
-        for part, x, vary in zip(self.system.participants, inputs, varying):
-            if not vary:
-                out = forward(part.model, x[None, :])[0]
-                blocks.append(np.repeat(out, m, axis=0))
-                continue
-            out = _fd_local_outputs(part.model, x, delta)
+        for part, row in zip(system.participants[1:], self.rows):
+            out = _fd_local_outputs(part.model, row, cfg.fdm_step)
             block = np.repeat(out[:1], m, axis=0)
-            block[offset:offset + x.shape[0]] = out[1:]
-            offset += x.shape[0]
-            blocks.append(block)
-        vals = fn(_coordinator_forward(self.system, blocks)[0])
-        return (vals[1:] - vals[0]) / delta
+            block[offset:offset + row.shape[0]] = out[1:]
+            offset += row.shape[0]
+            self._blocks.append(block)
+
+    def _each_row(self, grad, x_adv):
+        """``grad(row, label)`` for one row, or stacked over a block's rows,
+        which alone keep their adversary blocks."""
+        if x_adv.ndim == 1:
+            return grad(x_adv, self.l_target)
+        keys = {x.tobytes() for x in x_adv}
+        self._adv = {k: v for k, v in self._adv.items() if k in keys}
+        return np.stack([grad(x, label)
+                         for x, label in zip(x_adv, self.l_target)])
+
+    def saliency_grad(self, x_adv):
+        return self._each_row(
+            lambda x, _: _Objective.saliency_grad(self, x), x_adv)
 
     def loss_grad(self, x_adv):
-        return self._fd_grad(x_adv, self.rows, True,
-                             lambda probs: _loss_rows(probs, self.l_target))
+        return self._each_row(lambda x, label: self._fd_grad(
+            [self._adv_block(x)] + self._fixed,
+            lambda probs: _loss_rows(probs, label)), x_adv)
 
     def _benign_spread_grad(self, x_adv):
-        return self._fd_grad(x_adv, self.rows, False, _spread_rows)
+        out = forward(self.system.participants[0].model, x_adv[None, :])[0]
+        return self._fd_grad([out] + self._blocks, _spread_rows)
 
     def _adv_spread_grad(self, x_adv, rows):
-        return self._fd_grad(x_adv, rows, True, _spread_rows)
+        return self._fd_grad([self._adv_block(x_adv)] + self._outputs(rows),
+                             _spread_rows)
+
+    def _adv_block(self, x):
+        key = x.tobytes()
+        if key not in self._adv:
+            self._adv[key] = _fd_local_outputs(
+                self.system.participants[0].model, x, self.cfg.fdm_step)
+        return self._adv[key]
+
+    def _outputs(self, rows):
+        return [forward(p.model, row[None, :])[0]
+                for p, row in zip(self.system.participants[1:], rows)]
+
+    def _fd_grad(self, outs, fn):
+        """Forward-difference gradient of ``fn`` (joint output rows to
+        scalars) from each party's (d+1)-row block or single row."""
+        m = max(out.shape[0] for out in outs)
+        vals = fn(_coordinator_forward(
+            self.system, [np.broadcast_to(out, (m, out.shape[1]))
+                          for out in outs])[0])
+        return (vals[1:] - vals[0]) / self.cfg.fdm_step
 
 
 def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:
@@ -585,32 +626,11 @@ def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:
     return z
 
 
-class _EachRow:
-    """A block's objective as one lone-row objective per row, stacked: for
-    blackbox mode, whose (d+1)-row batches are already compute-bound, so
-    stacking rows gains nothing."""
-
-    def __init__(self, objectives):
-        self.objectives = objectives
-
-    def saliency_grad(self, x_adv):
-        return np.stack([obj.saliency_grad(x)
-                         for obj, x in zip(self.objectives, x_adv)])
-
-    def loss_grad(self, x_adv):
-        return np.stack([obj.loss_grad(x)
-                         for obj, x in zip(self.objectives, x_adv)])
-
-
 def _objective_grads(system, benign_rows, l_target, cfg):
     """The round's objective for one row (an int label) or for a block of
     rows (an array of labels)."""
-    if cfg.mode == "whitebox":
-        return _Whitebox(system, benign_rows, l_target, cfg)
-    if np.ndim(l_target) == 0:
-        return _Blackbox(system, benign_rows, l_target, cfg)
-    return _EachRow([_Blackbox(system, benign_rows, label, cfg)
-                     for label in l_target])
+    kind = _Whitebox if cfg.mode == "whitebox" else _Blackbox
+    return kind(system, benign_rows, l_target, cfg)
 
 
 def _inner_minimize(grads, base: np.ndarray, v: np.ndarray,

@@ -4,7 +4,8 @@ import numpy as np
 
 import golden
 from vflkit import synth_data
-from vflkit.assessment import (participants_sweep, partition_ratio_sweep,
+from vflkit.assessment import (ExperimentReport, participants_sweep,
+                               partition_ratio_sweep, report_filename,
                                reward_shares, _split_bound)
 from vflkit.synthesis import SynthesisConfig, default_bound
 
@@ -72,3 +73,20 @@ def test_ratio_sweep_honours_the_bound_multiplier():
                                         bound_multiplier=mult).rows
             for mult in (0.01, 100.0)}
     assert rows[0.01] != rows[100.0]
+
+
+def test_report_names_follow_kind_config_and_seed():
+    def report(config, seed=3):
+        return ExperimentReport("svd", config, ["k"], [{"k": 1}], seed,
+                                wallclock_secs=seed / 7)
+
+    first = report_filename("svd", report({"h": 2, "tiny": 5}), "csv")
+    assert first == f"svd-3-{report({'h': 2, 'tiny': 5}).artifact_hash}.csv"
+    # The same config gives the same name, whatever the wall time or the
+    # order of the keys; any other config or seed gives another one.
+    again = report({"tiny": 5, "h": 2})
+    again.wallclock_secs = 99.0
+    assert report_filename("svd", again, "csv") == first
+    assert report_filename("svd", report({"h": 3, "tiny": 5}), "csv") != first
+    assert report_filename("svd", report({"h": 2, "tiny": 5}, 4),
+                           "csv").startswith("svd-4-")

@@ -14,7 +14,8 @@ from vflkit.model import LayerSpec, LocalModel, backward, forward, init_model
 from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              coordinator_backward, joint_forward,
                              joint_inference, predicted_labels)
-from vflkit.synthesis import JointEvaluator, SynthesisConfig, adi_generate
+from vflkit.synthesis import (JointEvaluator, SynthesisConfig, adi_generate,
+                              fdm_gradient)
 
 
 def _splitnn():
@@ -140,3 +141,25 @@ def test_mutation_validation_does_not_grow_with_sample(monkeypatch):
     small = _isfinite_calls(monkeypatch, 5)
     large = _isfinite_calls(monkeypatch, 20)
     assert small == large
+
+
+def _row_sums(batch):
+    return batch.sum(axis=1)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf, "0.1", None])
+def test_fdm_gradient_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        fdm_gradient(_row_sums, np.zeros(3), delta)
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 3)), np.float64(1.0),
+                               np.array([0.0, np.nan]),
+                               np.array([np.inf, 0.0])])
+def test_fdm_gradient_rejects_bad_rows(x):
+    with pytest.raises(ValueError):
+        fdm_gradient(_row_sums, x, 1e-3)
+
+
+def test_fdm_gradient_takes_a_list_row():
+    assert fdm_gradient(_row_sums, [1, 2, 3], 0.5).tolist() == [1.0, 1.0, 1.0]
