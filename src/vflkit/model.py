@@ -129,14 +129,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    # The shifted array is fresh, so exp and the normalisation reuse it.
+    ex = x - x.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def _layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     if layer.kind == "linear":
-        return x @ layer.weights.T + layer.bias
+        z = x @ layer.weights.T
+        z += layer.bias
+        return z
     if layer.kind == "relu":
         return np.maximum(x, 0.0)
     if layer.kind == "sigmoid":

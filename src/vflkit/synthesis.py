@@ -19,9 +19,11 @@ descends against the same benign row, so each round's objective takes an
 (R, d) block of rows with one target label each. The whitebox passes run
 as (R, 1, d) stacks (see ``model``); blackbox mode answers each row's
 batches in turn from local blocks built once: one adversary block per row
-per inner step, the benign rows' once per round. Each row's result has the
-same bytes as its own ``adi_generate`` run. A row leaves the block at the
-sweep boundary where it dominates, as a lone run would stop there.
+per inner step, the benign rows' once per round. A row value already
+answered in a round sends the coordinator no further batch in it. Each
+row's result has the same bytes as its own ``adi_generate`` run. A row
+leaves the block at the sweep boundary where it dominates, as a lone run
+would stop there.
 """
 from __future__ import annotations
 
@@ -392,8 +394,6 @@ def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
     dimensions, d2 + 1 joint inferences total. A reference estimator: it
     runs ``fdm_gradient`` over ``joint_forward`` on the materialised
     batch."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     benign_rows = [as_vector(r) for r in _rows_of(benign_rows)]
     grad = _benign_spread_fdm(system, as_vector(x_adv), benign_rows, delta)
     return float(np.abs(grad).sum())
@@ -540,12 +540,19 @@ class _Blackbox(_Objective):
     benign rows' when the round's objective is built, for every row. Fixed
     parties' single-row outputs join a batch as broadcast views. An (R, d)
     block of rows with (R,) labels runs each row's batches in turn.
+
+    Each distinct (row value, label) is answered once per round: its loss
+    and saliency gradients are kept beside its adversary block, so a row
+    whose gradient came out zero, and which therefore returns with the same
+    value, asks the coordinator nothing more. Callers get copies. A block
+    call keeps only its own rows' entries, and all of them die with the
+    objective at the end of the round.
     """
 
     def __init__(self, system: VFLSystem, benign_rows, l_target,
                  cfg: SynthesisConfig):
         super().__init__(system, benign_rows, l_target, cfg)
-        self._adv: dict[bytes, np.ndarray] = {}
+        self._adv: dict[bytes, dict] = {}
         self._fixed = self._outputs(self.rows)
         # Each benign party's perturbed rows fill its own block of rows.
         m = 1 + sum(row.shape[0] for row in self.rows)
@@ -558,22 +565,28 @@ class _Blackbox(_Objective):
             offset += row.shape[0]
             self._blocks.append(block)
 
-    def _each_row(self, grad, x_adv):
+    def _each_row(self, kind: str, grad, x_adv):
         """``grad(row, label)`` for one row, or stacked over a block's rows,
-        which alone keep their adversary blocks."""
-        if x_adv.ndim == 1:
-            return grad(x_adv, self.l_target)
-        keys = {x.tobytes() for x in x_adv}
-        self._adv = {k: v for k, v in self._adv.items() if k in keys}
-        return np.stack([grad(x, label)
-                         for x, label in zip(x_adv, self.l_target)])
+        which alone keep their entries; each (value, label) runs it once."""
+        rows = np.atleast_2d(x_adv)
+        labels = np.atleast_1d(self.l_target).tolist()
+        keys = [x.tobytes() for x in rows]
+        self._adv = {k: self._adv.get(k, {}) for k in keys}
+        grads = []
+        for x, label, key in zip(rows, labels, keys):
+            entry = self._adv[key]
+            if (kind, label) not in entry:
+                entry[kind, label] = grad(x, label)
+            grads.append(entry[kind, label])
+        out = np.stack(grads)
+        return out[0] if x_adv.ndim == 1 else out
 
     def saliency_grad(self, x_adv):
         return self._each_row(
-            lambda x, _: _Objective.saliency_grad(self, x), x_adv)
+            "saliency", lambda x, _: _Objective.saliency_grad(self, x), x_adv)
 
     def loss_grad(self, x_adv):
-        return self._each_row(lambda x, label: self._fd_grad(
+        return self._each_row("loss", lambda x, label: self._fd_grad(
             [self._adv_block(x)] + self._fixed,
             lambda probs: _loss_rows(probs, label)), x_adv)
 
@@ -586,11 +599,11 @@ class _Blackbox(_Objective):
                              _spread_rows)
 
     def _adv_block(self, x):
-        key = x.tobytes()
-        if key not in self._adv:
-            self._adv[key] = _fd_local_outputs(
+        entry = self._adv.setdefault(x.tobytes(), {})
+        if "block" not in entry:
+            entry["block"] = _fd_local_outputs(
                 self.system.participants[0].model, x, self.cfg.fdm_step)
-        return self._adv[key]
+        return entry["block"]
 
     def _outputs(self, rows):
         return [forward(p.model, row[None, :])[0]

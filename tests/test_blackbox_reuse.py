@@ -6,7 +6,8 @@ fixed party's single row as a broadcast view. ``RecomputingBlackbox`` below
 is the objective without any of that reuse: every gradient rebuilds every
 local block and copies the fixed rows into full batches, and a block of
 rows is one such objective per row. Gradients and candidates must match it
-byte for byte, and the coordinator must still answer the same batches.
+byte for byte, and the coordinator must still answer the same batches,
+except that within a round it is asked each distinct one once.
 """
 import numpy as np
 import pytest
@@ -265,3 +266,124 @@ class TestWorkCount:
                      lambda x: grads._adv_spread_grad(x[1], grads.rows)):
             with pytest.raises(ValueError):
                 grad(block)
+
+
+def _saturated_row(system, views):
+    """An adversary row whose binary score sits far past the sigmoid's
+    rounding edge: every forward difference is exactly zero, so towards
+    label 0 its gradients vanish and it keeps its value step after step."""
+    model = system.participants[0].model
+    w = model.layers[0].weights[0]
+    x = 2000.0 * w / (w @ w)
+    assert np.all(JointEvaluator(system, views[1:]).probs_for(x) == 1.0)
+    return x
+
+
+def _batch_digests(monkeypatch):
+    """The bytes of every batch the coordinator is asked, in order."""
+    seen = []
+    real = synthesis._coordinator_forward
+
+    def recording(system, locals_):
+        seen.append(b"".join(np.ascontiguousarray(out).tobytes()
+                             for out in locals_))
+        return real(system, locals_)
+
+    monkeypatch.setattr(synthesis, "_coordinator_forward", recording)
+    return seen
+
+
+class TestRoundMemo:
+    """Each distinct (row value, label) is answered once per round."""
+
+    @staticmethod
+    def _block(credit_setup):
+        system = credit_setup["system"]
+        views = credit_setup["test_views"]
+        block = np.vstack([views[0][:2], _saturated_row(system, views)])
+        return system, views, block, np.array([1, 0, 0])
+
+    @pytest.mark.parametrize("strategy", ["random", "bounded"])
+    def test_saturated_row_candidates(self, credit_setup, strategy):
+        system, views, block, targets = self._block(credit_setup)
+        tiny = [v[:2] for v in views[1:]]
+        full = JointEvaluator(system, [v[2:62] for v in views[1:]])
+        bound = default_bound(views[0]) if strategy == "bounded" else None
+        cfg = SynthesisConfig(mode="blackbox", strategy=strategy, bound=bound,
+                              max_rounds=4, inner_steps=3, threshold=0.8,
+                              inner_lr=0.5)
+        cands = synthesis._synthesize_rows(block, system, targets, cfg, tiny,
+                                           full)
+        assert [c.to_json() for c in cands] == [
+            lone_recomputing_run(x, system, int(t), cfg, tiny, full).to_json()
+            for x, t in zip(block, targets)]
+        # The saturated row never moved and ran every round.
+        assert not cands[2].perturbation.any()
+        assert cands[2].rounds == cfg.max_rounds
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_saturated_row_batches(self, monkeypatch, credit_setup, k):
+        system, views, block, targets = self._block(credit_setup)
+        rows = [views[1][0]]
+        cfg = SynthesisConfig(mode="blackbox", inner_steps=k)
+        seen = _batch_digests(monkeypatch)
+        lone = RecomputingBlackbox(system, rows, 0, cfg)
+        lone.saliency_grad(block[2])
+        lone.loss_grad(block[2])
+        per_step = len(seen)
+        seen.clear()
+        deltas, batches = [], []
+        for grads in (_objective_grads(system, rows, targets, cfg),
+                      EachRow(system, rows, targets, cfg)):
+            deltas.append(_inner_minimize(grads, block, np.zeros_like(block),
+                                          cfg))
+            batches.append(seen[:])
+            seen.clear()
+        got, want = batches
+        _same_bytes(deltas[0], deltas[1])
+        assert per_step > 0
+        assert len(want) - len(got) == (k - 1) * per_step
+        # The oracle's batches, each asked once, in the order first asked.
+        assert got == list(dict.fromkeys(want))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_label_is_part_of_the_key(self, credit_setup, digits_setup,
+                                      name):
+        system, views = _systems(credit_setup, digits_setup)[name]
+        rows = [view[0] for view in views[1:]]
+        block = np.repeat(views[0][:1], 2, axis=0)
+        targets = np.array([0, 1])
+        cfg = SynthesisConfig(mode="blackbox")
+        got = _objective_grads(system, rows, targets, cfg)
+        want = EachRow(system, rows, targets, cfg)
+        for _ in range(2):
+            loss = got.loss_grad(block)
+            _same_bytes(loss, want.loss_grad(block))
+            _same_bytes(got.saliency_grad(block), want.saliency_grad(block))
+            assert not np.array_equal(loss[0], loss[1])
+
+    def test_memo_dies_with_the_objective(self, monkeypatch, credit_setup):
+        system = credit_setup["system"]
+        views = credit_setup["test_views"]
+        rows = [views[1][0]]
+        block = views[0][:2].copy()
+        targets = np.array([1, 0])
+        cfg = SynthesisConfig(mode="blackbox")
+        seen = _batch_digests(monkeypatch)
+        answers = []
+        for fresh in (True, False, True):
+            if fresh:
+                grads = _objective_grads(system, rows, targets, cfg)
+            answers.append((grads.saliency_grad(block),
+                            grads.loss_grad(block), len(seen)))
+            seen.clear()
+        asked, again, fresh_asked = (n for _, _, n in answers)
+        assert asked > 0 and again == 0 and fresh_asked == asked
+        # Callers get copies: writing to one changes no later answer.
+        sal, loss, _ = answers[-1]
+        sal_bytes, loss_bytes = sal.tobytes(), loss.tobytes()
+        sal += 1.0
+        loss[0] = np.nan
+        assert grads.saliency_grad(block).tobytes() == sal_bytes
+        assert grads.loss_grad(block).tobytes() == loss_bytes
+        assert not seen

@@ -65,7 +65,8 @@ def _run(tmp_path, doc, command, *flags):
 
 def _report(out, kind):
     """Rows, config and hash of the one report of ``kind`` in ``out``;
-    report names carry a timestamp, hence the glob."""
+    report names carry the artifact hash, which the glob saves spelling
+    out."""
     paths = sorted(out.glob(f"{kind}-*.json"))
     assert len(paths) == 1, paths
     with open(paths[0], encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              coordinator_backward, joint_forward,
                              joint_inference, predicted_labels)
 from vflkit.synthesis import (JointEvaluator, SynthesisConfig, adi_generate,
-                              fdm_gradient)
+                              fdm_gradient, saliency_est_fdm)
 
 
 def _splitnn():
@@ -163,3 +163,10 @@ def test_fdm_gradient_rejects_bad_rows(x):
 
 def test_fdm_gradient_takes_a_list_row():
     assert fdm_gradient(_row_sums, [1, 2, 3], 0.5).tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("delta", ["a", np.nan, 0, -1e-3])
+def test_saliency_est_fdm_rejects_bad_delta(delta):
+    # fdm_gradient checks the step, so a non-number raises ValueError too.
+    with pytest.raises(ValueError, match="delta"):
+        saliency_est_fdm(ROW, SYSTEM, [BENIGN[0][0]], delta)
