@@ -258,7 +258,7 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
                           train_cfg: dict, synth_cfg: SynthesisConfig,
                           n_dominance: int = 300, n_synth: int = 40,
                           test_fraction: float = 0.2, seed: int = 0,
-                          thresholds=(0.95,),
+                          threshold: float = 0.95,
                           bound_multiplier: float = 1.0) -> ExperimentReport:
     """Accuracy, per-side dominance, and synthesis success across feature
     partition ratios. ``image_side`` switches to pixel-column partitioning.
@@ -284,12 +284,12 @@ def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
     cells = _sweep(features, labels, specs,
                    [seed + int(ratio * 100) for ratio in ratios], train_cfg,
                    [synth_cfg], n_dominance, n_synth, test_fraction, seed,
-                   seed + 1, thresholds[0], bound_multiplier)
+                   seed + 1, threshold, bound_multiplier)
     for ratio, (system, test_views, accuracy, dom_a, successes) in \
             zip(ratios, cells):
         view_a, view_b = test_views
         dom_b = dominating_rate(system, view_b[:n_dominance], [view_a],
-                                thresholds[0], adv_index=1)
+                                threshold, adv_index=1)
         report.rows.append({
             "ratio": float(ratio), "accuracy": accuracy,
             "dominating_rate_adv": dom_a, "dominating_rate_benign": dom_b,

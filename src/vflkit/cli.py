@@ -1,6 +1,7 @@
 """Command-line entry point: wires JSON run configs to training, dominance
 baselines, synthesis, fuzzing, variance analysis, the SVD study, and sweeps.
 
+``_CONFIG`` lists every config key, by section, with its default.
 Precedence: command-line flag > config key > built-in default. The
 VFLKIT_SEED environment variable overrides the config seed. Exit codes:
 0 success, 1 configuration error, 2 data error.
@@ -8,6 +9,7 @@ VFLKIT_SEED environment variable overrides the config seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -38,46 +40,79 @@ class DataError(RuntimeError):
     pass
 
 
-_SYNTH_KEYS = {"strategy", "mode", "alpha", "beta", "gamma", "momentum",
-               "max_rounds", "threshold", "inner_steps", "inner_lr",
-               "fdm_step", "bound_multiplier", "n_inputs"}
-
-_SCHEMA = {
-    "seed": None,
-    "output_dir": None,
+# Every config key and its default: top-level values, then each section's
+# keys. A key whose default is None stays absent when the config omits it:
+# the dataclass or trainer it is passed to applies its own default, the
+# code reading it derives one, or the kind that needs it requires it.
+_CONFIG = {
+    "seed": 0,
+    "output_dir": "out",
     "checkpoint": None,
-    "dataset": {"kind", "path", "label_column", "images", "labels", "name",
-                "n", "n_test", "normalize", "test_fraction", "split_seed",
-                "tiny_size", "tiny_seed"},
-    "partition": {"kind", "counts", "ratio", "participants", "image_side"},
-    "protocol": None,
-    "model": {"local_hidden", "top_hidden"},
-    "train": {"epochs", "lr", "batch", "momentum"},
-    "synthesis": _SYNTH_KEYS,
-    "fuzz": {"max_iter", "energy", "mask_weight", "stable_fraction",
-             "budget_mins", "corpus", "noise_std_factor", "bound_multiplier"},
-    "dominance": {"n_rows", "thresholds"},
-    "svd": {"h", "ks", "target_offset", "synthesis"},
-    "sweep": {"kind", "ratios", "counts", "n_dominance", "n_synth",
-              "synthesis"},
-    "variance": {"k", "n_mc", "fixture", "em_seed"},
+    "protocol": "heterolr",
+    # n: the synthetic dataset's full size; normalize: on, except for idx
+    # images and synthetic digits.
+    "dataset": {"kind": None, "path": None, "label_column": "label",
+                "images": None, "labels": None, "name": None, "n": None,
+                "normalize": None, "test_fraction": 0.2, "split_seed": 1,
+                "tiny_size": 20, "tiny_seed": 5},
+    "partition": {"kind": None, "counts": None, "ratio": None,
+                  "participants": 2, "image_side": 28},
+    "model": {"local_hidden": [128, 64], "top_hidden": [64]},
+    # epochs and momentum: the protocol trainer's.
+    "train": {"epochs": None, "lr": 0.05, "batch": 64, "momentum": None},
+    # SynthesisConfig fields, then the bound's multiplier and sample size.
+    "synthesis": {**dict.fromkeys(
+        ("strategy", "mode", "alpha", "beta", "gamma", "momentum",
+         "max_rounds", "threshold", "inner_steps", "inner_lr", "fdm_step")),
+        "bound_multiplier": 1.0, "n_inputs": 50},
+    # CampaignConfig fields, then the run's budget, corpus and bound.
+    "fuzz": {**dict.fromkeys(("max_iter", "energy", "mask_weight",
+                              "stable_fraction", "noise_std_factor")),
+             "budget_mins": None, "corpus": "sample:100",
+             "bound_multiplier": 1.0},
+    "dominance": {"n_rows": 300, "thresholds": [0.95, 0.99]},
+    "svd": {"h": 200, "ks": [1, 5, 10], "target_offset": 3},
+    "sweep": {"kind": "ratio", "ratios": [0.40, 0.65, 1.00, 1.33, 1.80, 2.11],
+              "counts": [2, 3, 5], "n_dominance": 300, "n_synth": 40,
+              "synthesis": {}},
+    "variance": {"k": 1, "n_mc": 1_000_000, "fixture": None, "em_seed": 0},
 }
+
+
+class _Section(dict):
+    """A config section with the table's defaults filled in. Reading an
+    absent key that has no default is a configuration error naming it."""
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ConfigError(f"config needs {self.name}.{key}")
+
+
+def _read(cfg: dict, name: str):
+    """Config entry ``name``: a top-level value, or a ``_Section``."""
+    default = _CONFIG[name]
+    if not isinstance(default, dict):
+        return cfg.get(name, default)
+    given = cfg.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    for key in given:
+        if key not in default:
+            raise ConfigError(f"unknown config key {name}.{key}")
+    filled = {k: v for k, v in default.items() if v is not None}
+    return _Section(name, {**copy.deepcopy(filled), **given})
 
 
 def validate_config(doc: dict):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    for key, value in doc.items():
-        if key not in _SCHEMA:
+    for key in doc:
+        if key not in _CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"config key {key!r} must be an object")
-        for sub in value:
-            if sub not in allowed:
-                raise ConfigError(f"unknown config key {key}.{sub}")
+        _read(doc, key)
     return doc
 
 
@@ -95,39 +130,35 @@ def load_config(path) -> dict:
             doc["seed"] = int(os.environ["VFLKIT_SEED"])
         except ValueError:
             raise ConfigError("VFLKIT_SEED must be an integer") from None
-    doc.setdefault("seed", 0)
+    doc["seed"] = _read(doc, "seed")
     return doc
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("output_dir", "out"))
+    out = Path(_read(cfg, "output_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _load_dataset(cfg: dict) -> Dataset:
-    spec = cfg.get("dataset")
-    if not spec:
-        raise ConfigError("config needs a dataset section")
-    kind = spec.get("kind")
+    spec = _read(cfg, "dataset")
+    kind = spec["kind"]
     try:
         if kind == "csv":
-            ds = load_csv(spec["path"], spec.get("label_column", "label"))
+            ds = load_csv(spec["path"], spec["label_column"])
         elif kind == "idx":
             ds = load_idx(spec["images"], spec["labels"])
         elif kind == "synthetic":
-            name = spec.get("name")
-            n = spec.get("n")
-            if name == "credit":
-                ds = synth_data.make_credit_like(n or synth_data.CREDIT_N)
-            elif name == "vehicle":
-                ds = synth_data.make_vehicle_like(n or synth_data.VEHICLE_N)
-            elif name == "digits":
-                ds = synth_data.make_digits_like(n or 20000, seed=13)
-            elif name == "multimodal":
-                ds = synth_data.make_multimodal_like(n or 20000)
-            else:
+            name = spec["name"]
+            make = {"credit": synth_data.make_credit_like,
+                    "vehicle": synth_data.make_vehicle_like,
+                    "digits": synth_data.make_digits_like,
+                    "multimodal": synth_data.make_multimodal_like}.get(name)
+            if make is None:
                 raise ConfigError(f"unknown synthetic dataset {name!r}")
+            full = {"credit": synth_data.CREDIT_N,
+                    "vehicle": synth_data.VEHICLE_N}.get(name, 20000)
+            ds = make(spec.get("n") or full)
         else:
             raise ConfigError(f"unknown dataset kind {kind!r}")
     except ConfigError:
@@ -140,10 +171,8 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 
 def _partition(cfg: dict, d: int) -> PartitionSpec:
-    part = cfg.get("partition")
-    if not part:
-        raise ConfigError("config needs a partition section")
-    kind = part.get("kind")
+    part = _read(cfg, "partition")
+    kind = part["kind"]
     if kind == "counts":
         counts = part["counts"]
         cols = []
@@ -157,69 +186,65 @@ def _partition(cfg: dict, d: int) -> PartitionSpec:
     if kind == "ratio":
         return ratio_split(d, float(part["ratio"]))
     if kind == "image_columns":
-        side = int(part.get("image_side", 28))
+        side = int(part["image_side"])
         if "counts" in part:
             return image_column_partition([int(c) for c in part["counts"]], side)
-        return mnist_column_split(int(part.get("participants", 2)), side)
+        return mnist_column_split(int(part["participants"]), side)
     raise ConfigError(f"unknown partition kind {kind!r}")
 
 
 def _prepared(cfg: dict):
     """Dataset -> (train views, test views, train labels, test labels, spec)."""
     ds = _load_dataset(cfg)
-    dspec = cfg.get("dataset", {})
-    train, test = train_test_split(ds, dspec.get("test_fraction", 0.2),
-                                   seed=dspec.get("split_seed", 1))
+    dspec = _read(cfg, "dataset")
+    train, test = train_test_split(ds, dspec["test_fraction"],
+                                   seed=dspec["split_seed"])
     spec = _partition(cfg, ds.d)
     return (partition_vertical(train, spec), partition_vertical(test, spec),
             train.labels, test.labels, spec, ds)
 
 
 def _train_system(cfg: dict, train_views, labels, seed: int):
-    protocol_name = cfg.get("protocol", "heterolr")
-    tr = cfg.get("train", {})
-    epochs = tr.get("epochs", 30 if protocol_name != "splitnn" else 10)
-    lr = tr.get("lr", 0.05)
-    batch = tr.get("batch", 64)
-    momentum = tr.get("momentum", 0.9)
+    protocol_name = _read(cfg, "protocol")
+    tr = _read(cfg, "train")
     n_classes = int(np.max(labels)) + 1
     if protocol_name == "heterolr":
-        return train_heterolr(train_views, labels, epochs, lr, batch, seed,
-                              momentum)
+        return train_heterolr(train_views, labels, seed=seed, **tr)
     if protocol_name == "linear_softmax":
-        return train_linear_joint(train_views, labels, n_classes, epochs, lr,
-                                  batch, seed, momentum)
+        return train_linear_joint(train_views, labels, n_classes, seed=seed,
+                                  **tr)
     if protocol_name == "splitnn":
-        model = cfg.get("model", {})
+        model = _read(cfg, "model")
         dims, top = splitnn_architecture(
-            train_views, model.get("local_hidden", [128, 64]),
-            model.get("top_hidden", [64]), n_classes)
-        return train_splitnn(train_views, labels, dims, top, epochs, lr,
-                             batch, seed, momentum)
+            train_views, model["local_hidden"], model["top_hidden"], n_classes)
+        return train_splitnn(train_views, labels, dims, top, seed=seed, **tr)
     raise ConfigError(f"unknown protocol {protocol_name!r}")
 
 
-def _require_checkpoint(cfg: dict, args):
-    path = getattr(args, "checkpoint", None) or cfg.get("checkpoint")
+def _attack_setup(cfg: dict, args):
+    """What an attack on the checkpoint starts from: the train views, the
+    adversary's test view, the benign test views, the trained system and
+    the run's seeded rng."""
+    train_views, test_views, _, _, _, _ = _prepared(cfg)
+    path = getattr(args, "checkpoint", None) or _read(cfg, "checkpoint")
     if not path:
         raise ConfigError("a checkpoint path is required (flag or config)")
     try:
-        return load_system(path)
+        system = load_system(path)
     except FileNotFoundError:
         raise DataError(f"checkpoint not found: {path}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc!r}") from None
+    return (train_views, test_views[0], test_views[1:], system,
+            np.random.default_rng(cfg["seed"]))
 
 
 def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
     """The run's synthesis settings; a bounded strategy is bounded by the
     feature variance of ``train_view_adv`` times ``bound_multiplier``."""
-    sc = dict(cfg.get("synthesis", {}))
-    unknown = sorted(set(sc) - _SYNTH_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown synthesis key {unknown[0]!r}")
-    sc.pop("n_inputs", None)
-    mult = sc.pop("bound_multiplier", 1.0)
+    sc = dict(_read(cfg, "synthesis"))
+    del sc["n_inputs"]
+    mult = sc.pop("bound_multiplier")
     if getattr(args, "mode", None):
         sc["mode"] = args.mode
     if getattr(args, "mutation", None):
@@ -240,10 +265,10 @@ def _sample_rows(rng: np.random.Generator, view: np.ndarray,
 
 def _tiny_sample(cfg: dict, benign):
     """The adversary's sample of joint benign test rows."""
-    dspec = cfg.get("dataset", {})
+    dspec = _read(cfg, "dataset")
     rows = np.concatenate(benign, axis=1)
-    return sample_tiny(rows, min(dspec.get("tiny_size", 20), rows.shape[0]),
-                       seed=dspec.get("tiny_seed", 5))
+    return sample_tiny(rows, min(dspec["tiny_size"], rows.shape[0]),
+                       seed=dspec["tiny_seed"])
 
 
 def _write_report(out: Path, name: str, report, with_csv: bool = True):
@@ -269,19 +294,15 @@ def cmd_train(cfg: dict, args) -> int:
 
 def cmd_dominance(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    _, test_views, _, _, _, _ = _prepared(cfg)
-    system = _require_checkpoint(cfg, args)
-    dom_cfg = cfg.get("dominance", {})
-    n_rows = dom_cfg.get("n_rows", 300)
-    thresholds = dom_cfg.get("thresholds", [0.95, 0.99])
-    if not all(0 < t <= 1 for t in thresholds):
+    _, adv_test, benign, system, _ = _attack_setup(cfg, args)
+    dom = _read(cfg, "dominance")
+    if not all(0 < t <= 1 for t in dom["thresholds"]):
         raise ConfigError("dominance.thresholds must lie in (0, 1]")
     report = assessment.ExperimentReport(
-        "dominance", {"n_rows": n_rows, "thresholds": thresholds},
-        ["threshold", "dominating_rate"], seed=cfg["seed"])
-    benign = test_views[1:]
-    for thr in thresholds:
-        rate = assessment.dominating_rate(system, test_views[0][:n_rows],
+        "dominance", dict(dom), ["threshold", "dominating_rate"],
+        seed=cfg["seed"])
+    for thr in dom["thresholds"]:
+        rate = assessment.dominating_rate(system, adv_test[:dom["n_rows"]],
                                           benign, thr)
         report.rows.append({"threshold": thr, "dominating_rate": rate})
     _write_report(out, "dominance", report)
@@ -292,18 +313,15 @@ def cmd_dominance(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
-    n_inputs = cfg.get("synthesis", {}).get("n_inputs", 50)
+    n_inputs = _read(cfg, "synthesis")["n_inputs"]
     if isinstance(n_inputs, bool) or not isinstance(n_inputs, int) \
             or n_inputs < 1:
         raise ConfigError(
             f"synthesis: n_inputs must be a positive integer, got {n_inputs!r}")
     out = _out_dir(cfg)
-    train_views, test_views, _, _, _, _ = _prepared(cfg)
-    system = _require_checkpoint(cfg, args)
+    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     scfg = _synthesis_config(cfg, args, train_views[0])
-    rng = np.random.default_rng(cfg["seed"])
-    rows = _sample_rows(rng, test_views[0], n_inputs)
-    benign = test_views[1:]
+    rows = _sample_rows(rng, adv_test, n_inputs)
     tiny = _tiny_sample(cfg, benign)
     rate, candidates = assessment.success_rate(system, rows, scfg, tiny,
                                                benign, scfg.threshold)
@@ -321,29 +339,23 @@ def cmd_synthesize(cfg: dict, args) -> int:
 
 def cmd_fuzz(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    train_views, test_views, _, _, _, _ = _prepared(cfg)
-    system = _require_checkpoint(cfg, args)
-    fz = cfg.get("fuzz", {})
-    budget_mins = args.budget_mins if getattr(args, "budget_mins", None) \
-        else fz.get("budget_mins")
-    corpus_spec = fz.get("corpus", "sample:100")
-    rng = np.random.default_rng(cfg["seed"])
+    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
+    # What is left after the run's own keys are CampaignConfig fields.
+    fz = dict(_read(cfg, "fuzz"))
+    corpus_spec = fz.pop("corpus")
+    mult = fz.pop("bound_multiplier")
+    budget_mins = fz.pop("budget_mins", None)
+    budget_mins = getattr(args, "budget_mins", None) or budget_mins
     if isinstance(corpus_spec, str) and corpus_spec.startswith("sample:"):
-        corpus = _sample_rows(rng, test_views[0],
-                              int(corpus_spec.split(":", 1)[1]))
+        corpus = _sample_rows(rng, adv_test, int(corpus_spec.split(":", 1)[1]))
     elif isinstance(corpus_spec, list):
         corpus = np.asarray(corpus_spec, dtype=np.float64)
     else:
         raise ConfigError("fuzz.corpus must be 'sample:N' or an array")
-    benign = test_views[1:]
     tiny = _tiny_sample(cfg, benign)
     try:
-        bound = default_bound(train_views[0], fz.get("bound_multiplier", 1.0))
         camp = CampaignConfig(
-            max_iter=fz.get("max_iter", 5000), energy=fz.get("energy", 20),
-            mask_weight=fz.get("mask_weight", 0.2),
-            stable_fraction=fz.get("stable_fraction", 1.0),
-            bound=bound, noise_std_factor=fz.get("noise_std_factor", 0.1),
+            **fz, bound=default_bound(train_views[0], mult),
             budget_secs=None if budget_mins is None
             else 60.0 * float(budget_mins),
             seed=cfg["seed"])
@@ -369,25 +381,22 @@ def cmd_fuzz(cfg: dict, args) -> int:
 
 def cmd_variance(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    var_cfg = cfg.get("variance", {})
-    n_mc = var_cfg.get("n_mc", 1_000_000)
+    var_cfg = _read(cfg, "variance")
+    n_mc = var_cfg["n_mc"]
     seed = cfg["seed"]
     if "fixture" in var_cfg:
         fx = var_cfg["fixture"]
         sm = ScalarMixture(fx["weights"], fx["mus"], fx["sigmas"])
     else:
-        _, test_views, _, _, _, _ = _prepared(cfg)
-        system = _require_checkpoint(cfg, args)
+        _, adv_test, benign, system, _ = _attack_setup(cfg, args)
         if system.protocol != "heterolr" or system.output_dim != 1:
             raise ConfigError(
                 "data-driven variance analysis needs a binary heterolr "
                 "checkpoint; use variance.fixture otherwise")
-        k = var_cfg.get("k", 1)
-        gmm, _ = fit_gmm_em(test_views[1], k, seed=var_cfg.get("em_seed", 0))
+        gmm, _ = fit_gmm_em(benign[0], var_cfg["k"], seed=var_cfg["em_seed"])
         theta_b = system.participants[1].model.layers[0].weights[0]
         theta_a = system.participants[0].model.layers[0].weights[0]
-        offset = float(theta_a @ test_views[0][0]
-                       + system.coordinator.bias[0])
+        offset = float(theta_a @ adv_test[0] + system.coordinator.bias[0])
         sm = project_mixture(gmm, theta_b, offset)
     analytic = heterolr_variance(sm)
     mc = variance_monte_carlo(lambda s: 1.0 / (1.0 + np.exp(-s)), sm, n_mc,
@@ -413,19 +422,16 @@ def cmd_variance(cfg: dict, args) -> int:
 
 def cmd_svd(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    train_views, test_views, _, _, _, _ = _prepared(cfg)
-    system = _require_checkpoint(cfg, args)
-    svd_cfg = cfg.get("svd", {})
-    h = svd_cfg.get("h", 200)
-    ks = svd_cfg.get("ks", [1, 5, 10])
+    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
+    svd_cfg = _read(cfg, "svd")
+    h = svd_cfg["h"]
+    ks = svd_cfg["ks"]
     scfg = _synthesis_config(cfg, args, train_views[0])
-    rng = np.random.default_rng(cfg["seed"])
-    benign = test_views[1:]
     rows = _sample_rows(rng, np.concatenate(benign, axis=1), h)
-    x_star = test_views[0][int(rng.integers(test_views[0].shape[0]))]
+    x_star = adv_test[int(rng.integers(adv_test.shape[0]))]
     ev = JointEvaluator(system, benign)
     majority, _ = ev.majority_label(x_star)
-    target = (majority + svd_cfg.get("target_offset", 3)) % system.n_classes
+    target = (majority + svd_cfg["target_offset"]) % system.n_classes
     study = assessment.build_perturbation_matrix(system, rows, x_star, scfg,
                                                  l_target=target)
     spectrum = assessment.singular_spectrum(study.matrix)
@@ -453,35 +459,25 @@ def cmd_svd(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     ds = _load_dataset(cfg)
-    sweep = cfg.get("sweep", {})
-    kind = sweep.get("kind", "ratio")
+    sweep = _read(cfg, "sweep")
+    kind = sweep["kind"]
     # The sweeps bound each split by its own adversary view; until then the
     # whole feature matrix stands in for it.
-    synth = sweep.get("synthesis", {})
-    scfg = _synthesis_config({"synthesis": synth}, args, ds.features)
-    mult = synth.get("bound_multiplier", 1.0)
-    # The train section overrides these defaults; momentum defaults to 0.9
-    # in the sweep and is reported only where the config sets it.
-    train_cfg = {
-        "local_hidden": cfg.get("model", {}).get("local_hidden", [128, 64]),
-        "top_hidden": cfg.get("model", {}).get("top_hidden", [64]),
-        "epochs": 10, "lr": 0.05, "batch": 64, **cfg.get("train", {}),
-    }
+    synth = {"synthesis": sweep["synthesis"]}
+    scfg = _synthesis_config(synth, args, ds.features)
+    mult = _read(synth, "synthesis")["bound_multiplier"]
+    # The report lists the epochs the sweep trains for, and momentum only
+    # where the config sets it (the sweep's default is assessment's).
+    train_cfg = {**_read(cfg, "model"), "epochs": 10, **_read(cfg, "train")}
+    common = {"n_dominance": sweep["n_dominance"], "n_synth": sweep["n_synth"],
+              "seed": cfg["seed"], "bound_multiplier": mult}
     if kind == "ratio":
-        ratios = sweep.get("ratios", [0.40, 0.65, 1.00, 1.33, 1.80, 2.11])
         report = assessment.partition_ratio_sweep(
-            ds.features, ds.labels, ratios,
-            cfg.get("partition", {}).get("image_side", 28), train_cfg, scfg,
-            n_dominance=sweep.get("n_dominance", 300),
-            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"],
-            bound_multiplier=mult)
+            ds.features, ds.labels, sweep["ratios"],
+            _read(cfg, "partition")["image_side"], train_cfg, scfg, **common)
     elif kind == "participants":
-        counts = sweep.get("counts", [2, 3, 5])
         report = assessment.participants_sweep(
-            ds.features, ds.labels, counts, train_cfg, scfg,
-            n_dominance=sweep.get("n_dominance", 300),
-            n_synth=sweep.get("n_synth", 40), seed=cfg["seed"],
-            bound_multiplier=mult)
+            ds.features, ds.labels, sweep["counts"], train_cfg, scfg, **common)
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     _write_report(out, f"sweep-{kind}", report)

@@ -541,8 +541,8 @@ class _Blackbox(_Objective):
     parties' single-row outputs join a batch as broadcast views. An (R, d)
     block of rows with (R,) labels runs each row's batches in turn.
 
-    Each distinct (row value, label) is answered once per round: its loss
-    and saliency gradients are kept beside its adversary block, so a row
+    Each distinct row value is answered once per round, its loss once per
+    label: the gradients are kept beside its adversary block, so a row
     whose gradient came out zero, and which therefore returns with the same
     value, asks the coordinator nothing more. Callers get copies. A block
     call keeps only its own rows' entries, and all of them die with the
@@ -567,7 +567,8 @@ class _Blackbox(_Objective):
 
     def _each_row(self, kind: str, grad, x_adv):
         """``grad(row, label)`` for one row, or stacked over a block's rows,
-        which alone keep their entries; each (value, label) runs it once."""
+        which alone keep their entries; each value runs it once (the loss
+        once per label: the saliency term does not depend on it)."""
         rows = np.atleast_2d(x_adv)
         labels = np.atleast_1d(self.l_target).tolist()
         keys = [x.tobytes() for x in rows]
@@ -575,9 +576,10 @@ class _Blackbox(_Objective):
         grads = []
         for x, label, key in zip(rows, labels, keys):
             entry = self._adv[key]
-            if (kind, label) not in entry:
-                entry[kind, label] = grad(x, label)
-            grads.append(entry[kind, label])
+            name = (kind, label) if kind == "loss" else kind
+            if name not in entry:
+                entry[name] = grad(x, label)
+            grads.append(entry[name])
         out = np.stack(grads)
         return out[0] if x_adv.ndim == 1 else out
 

@@ -387,3 +387,23 @@ class TestRoundMemo:
         assert grads.saliency_grad(block).tobytes() == sal_bytes
         assert grads.loss_grad(block).tobytes() == loss_bytes
         assert not seen
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_saliency_is_asked_once_per_row_value(monkeypatch, credit_setup,
+                                              digits_setup, name):
+    # The saliency term does not depend on the label, so two equal rows
+    # towards different targets share one set of saliency batches.
+    system, views = _systems(credit_setup, digits_setup)[name]
+    rows = [view[0] for view in views[1:]]
+    block = np.repeat(views[0][:1], 2, axis=0)
+    targets = np.array([0, 1])
+    cfg = SynthesisConfig(mode="blackbox")
+    seen = _batch_digests(monkeypatch)
+    want = EachRow(system, rows, targets, cfg).saliency_grad(block)
+    oracle = seen[:]
+    seen.clear()
+    got = _objective_grads(system, rows, targets, cfg).saliency_grad(block)
+    _same_bytes(got, want)
+    assert seen
+    assert oracle == seen + seen
