@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import as_matrix, as_vector, backward as model_backward, \
-    forward as model_forward, _forward
+    forward as model_forward, _forward, _is_finite_real, _is_integer
 from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
                        coordinator_backward, joint_forward,
                        party_input_grads, _JointTrace, _labels)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
-                        spread_input_grads, _as_bound, _evaluator,
-                        _is_finite_real, _is_integer, _require)
+                        spread_input_grads, _as_bound, _evaluator, _require)
 
 
 @dataclass

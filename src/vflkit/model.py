@@ -19,6 +19,8 @@ package built itself and keep only the contiguity copy and shape checks.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +48,15 @@ def as_matrix(data, cols: int | None = None,
     if cols is not None and arr.shape[-1] != cols:
         raise ValueError(f"expected {cols} columns, got {arr.shape[-1]}")
     return np.ascontiguousarray(arr)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def as_vector(data, size: int | None = None) -> np.ndarray:
@@ -164,6 +175,10 @@ def _forward(model: LocalModel, x: np.ndarray):
     return x, trace
 
 
+def _linear_param_grads(x: np.ndarray, grad_out: np.ndarray):
+    return grad_out.T @ x, grad_out.sum(axis=0)
+
+
 def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray,
                     with_params: bool):
     """Returns (grad_in, param_grads or None) for one layer."""
@@ -171,7 +186,7 @@ def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray,
         grad_in = grad_out @ layer.weights
         if not with_params:
             return grad_in, None
-        return grad_in, (grad_out.T @ x, grad_out.sum(axis=0))
+        return grad_in, _linear_param_grads(x, grad_out)
     if layer.kind == "relu":
         return grad_out * (x > 0), None
     if layer.kind == "sigmoid":
@@ -201,7 +216,11 @@ def backward(model: LocalModel, trace: ForwardTrace, grad_output,
 
 
 def _backward(model: LocalModel, trace: ForwardTrace, grad: np.ndarray,
-              n_skip_top: int = 0, with_params: bool = True):
+              n_skip_top: int = 0, with_params: bool = True,
+              input_grad: bool = True):
+    """``backward``'s core. With ``input_grad`` unset it stops at layer 0's
+    parameter gradients and returns None for the input gradient, which
+    training never reads."""
     start = len(model.layers) - 1 - n_skip_top
     expected = model.layers[start].out_dim
     if grad.shape[-2:] != (trace.inputs[0].shape[-2], expected):
@@ -212,11 +231,15 @@ def _backward(model: LocalModel, trace: ForwardTrace, grad: np.ndarray,
         raise ValueError("parameter gradients need a 2-D batch")
     grad = np.ascontiguousarray(grad)
     param_grads: list = [None] * len(model.layers)
-    for i in range(start, -1, -1):
+    for i in range(start, -1 if input_grad else 0, -1):
         grad, pg = _layer_backward(model.layers[i], trace.inputs[i], grad,
                                    with_params)
         param_grads[i] = pg
-    return param_grads, grad
+    if input_grad:
+        return param_grads, grad
+    if with_params and model.layers[0].kind == "linear":
+        param_grads[0] = _linear_param_grads(trace.inputs[0], grad)
+    return param_grads, None
 
 
 class SgdMomentum:
@@ -244,9 +267,10 @@ class SgdMomentum:
                 key = (i, name)
                 vel = self._velocity.get(key)
                 if vel is None:
-                    vel = np.zeros_like(param)
-                vel = self.momentum * vel + grad
-                self._velocity[key] = vel
+                    vel = self._velocity[key] = np.zeros_like(param)
+                # The ufuncs of m*v + g, in its order, on the velocity itself.
+                vel *= self.momentum
+                vel += grad
                 param -= self.lr * vel
 
 

@@ -21,6 +21,13 @@ the HeteroLR head's sum broadcasts it by itself.
 As in ``model``, the public passes check their input (views, output
 gradient, probabilities); the cores ``_coordinator_backward`` and
 ``_labels`` trust their caller, and so does ``party_input_grads``.
+
+Training (``_fit``) checks its views once. Its batches then run on the
+cores: ``_forward`` per party, ``_joint_trace``, ``_coordinator_backward``
+and ``_backward`` without layer 0's input gradient, which no step reads.
+The batch's output gradient keeps one finiteness check, so a diverging fit
+raises ValueError before its update, and the top model's forward keeps its
+own check.
 """
 from __future__ import annotations
 
@@ -32,8 +39,8 @@ import numpy as np
 
 from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
-                    model_from_dict, model_to_dict, _backward, _sigmoid,
-                    _softmax)
+                    model_from_dict, model_to_dict, _backward, _forward,
+                    _is_finite_real, _is_integer, _sigmoid, _softmax)
 
 SYSTEM_CHECKPOINT_VERSION = 1
 
@@ -293,12 +300,25 @@ def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
     The protocols differ only in the coordinator's step: plain SGD on the
     logistic bias, momentum SGD on the split top model. Returns the system
     and the per-epoch mean loss.
+
+    The arguments and views are checked here, once; see the module
+    docstring for the batch loop.
     """
+    if not (_is_integer(epochs) and epochs >= 0):
+        raise ValueError(f"epochs must be a non-negative integer, "
+                         f"got {epochs!r}")
+    if not (_is_integer(batch) and batch >= 1):
+        raise ValueError(f"batch must be a positive integer, got {batch!r}")
+    if not (_is_finite_real(lr) and lr >= 0):
+        raise ValueError(f"lr must be a finite number >= 0, got {lr!r}")
+    if not (_is_finite_real(momentum) and 0.0 <= momentum < 1.0):
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
     labels = np.asarray(labels, dtype=np.int64).ravel()
+    views = [as_matrix(view) for view in views]
     participants = []
     offset = 0
     for i, (view, dims) in enumerate(zip(views, local_dims)):
-        width = as_matrix(view).shape[1]
+        width = view.shape[1]
         if dims[0] != width:
             raise ValueError(f"local model {i} input dim {dims[0]} != view width "
                              f"{width}")
@@ -308,11 +328,11 @@ def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
             name, list(range(offset, offset + width)), model))
         offset += width
     system = VFLSystem(participants, coord, n_classes)
-
-    views = _check_views(system, views)
     n = views[0].shape[0]
-    if lr < 0:
-        raise ValueError("lr must be non-negative")
+    if any(view.shape[0] != n for view in views):
+        raise ValueError("views disagree on row count")
+    if labels.shape[0] != n:
+        raise ValueError(f"{labels.shape[0]} labels for {n} rows")
     scalar = coord.kind == "heterolr" and system.output_dim == 1
     rng = np.random.default_rng(seed)
     opts = [SgdMomentum(lr, momentum) for _ in participants] if lr > 0 else None
@@ -323,9 +343,9 @@ def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
     for _ in range(epochs):
         epoch_loss = 0.0
         for idx in _epoch_batches(n, batch, rng):
-            batch_views = [v[idx] for v in views]
             y = labels[idx]
-            jt = joint_forward(system, batch_views)
+            jt = _joint_trace(system, [_forward(part.model, v[idx]) for part, v
+                                       in zip(participants, views)])
             p = jt.probs
             m = len(idx)
             if scalar:
@@ -339,10 +359,15 @@ def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
                 grad_score = (p - _one_hot(y, p.shape[1])) / m
             if opts is None:
                 continue
-            _, param_grads, coord_grad = joint_backward(
-                system, jt, grad_score, with_params=True, from_logits=True)
-            for part, pg, opt in zip(participants, param_grads, opts):
-                opt.step(part.model, pg)
+            # A diverging fit stops here, before its update.
+            if not np.all(np.isfinite(grad_score)):
+                raise ValueError("matrix entries must be finite (no NaN/Inf)")
+            branch_grads, coord_grad = _coordinator_backward(
+                system, jt, grad_score, from_logits=True, with_params=True)
+            for part, trace, bg, opt in zip(participants, jt.local_traces,
+                                            branch_grads, opts):
+                opt.step(part.model, _backward(part.model, trace, bg,
+                                               input_grad=False)[0])
             if top_opt is None:
                 coord.bias -= lr * coord_grad
             else:

@@ -123,14 +123,36 @@ def _segment_intensity(points: np.ndarray, p1: np.ndarray,
                        p2: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Per-pixel intensity from distance to one segment, batched over
     samples: points (m, 2), p1/p2 (n, 2), width (n, 1). Runs on (n, m) x
-    and y planes: ``a + b`` gives the bytes of a sum over an (n, m, 2) pair."""
+    and y planes: ``a + b`` gives the bytes of a sum over an (n, m, 2) pair.
+
+    The planes live in two (n, m) buffers that every step overwrites with
+    ``out=``, running the ufuncs, in their operand order, of
+    ``t = clip(((x - x1)*sx + (y - y1)*sy) / length2, 0, 1)`` and
+    ``exp(-((x - (x1 + t*sx))**2 + (y - (y1 + t*sy))**2) / width**2)``, so
+    the bytes are those of the allocating expressions."""
     x, y = points[:, 0], points[:, 1]                # (m,)
     x1, y1 = p1[:, :1], p1[:, 1:]                    # (n, 1)
     sx, sy = p2[:, :1] - x1, p2[:, 1:] - y1
     length2 = np.maximum(sx ** 2 + sy ** 2, 1e-9)
-    t = np.clip(((x - x1) * sx + (y - y1) * sy) / length2, 0.0, 1.0)
-    d2 = (x - (x1 + t * sx)) ** 2 + (y - (y1 + t * sy)) ** 2
-    return np.exp(-d2 / (width ** 2))
+    a = np.subtract(x, x1)
+    a *= sx
+    b = np.subtract(y, y1)
+    b *= sy
+    a += b
+    a /= length2
+    t = np.clip(a, 0.0, 1.0, out=a)
+    np.multiply(t, sx, out=b)
+    np.add(x1, b, out=b)
+    np.subtract(x, b, out=b)
+    np.square(b, out=b)                              # x term of d2
+    np.multiply(t, sy, out=a)                        # t is spent
+    np.add(y1, a, out=a)
+    np.subtract(y, a, out=a)
+    np.square(a, out=a)
+    np.add(b, a, out=a)                              # d2
+    np.negative(a, out=a)
+    a /= width ** 2
+    return np.exp(a, out=a)
 
 
 def _render_digit_batch(digit: int, count: int,
@@ -161,10 +183,11 @@ def _render_digit_batch(digit: int, count: int,
         for a, b in zip(range(pts.shape[0] - 1), range(1, pts.shape[0])):
             p1 = np.stack([px[:, a], py[:, a]], axis=1)
             p2 = np.stack([px[:, b], py[:, b]], axis=1)
-            img = np.maximum(img, _segment_intensity(points, p1, p2, width))
-    img = img * peak
+            np.maximum(img, _segment_intensity(points, p1, p2, width),
+                       out=img)
+    img *= peak
     img += rng.normal(0.0, 0.07, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def make_digits_like(n: int, seed: int = 13,

@@ -28,28 +28,17 @@ would stop there.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
-                    _layer_forward)
+                    _is_finite_real, _is_integer, _layer_forward)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
                        party_input_grads, _coordinator_forward, _joint_trace,
                        _JointTrace, _labels)
 
 BOUND_FLOOR = 1e-6
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _require(cfg, names, test, want: str):
