@@ -1,23 +1,21 @@
 """Quantitative studies: dominance baselines, synthesis campaigns, reward
-shares, the perturbation-subspace analysis, and partition/participant sweeps.
+shares, and the perturbation-subspace analysis. The partition-ratio and
+party-count sweeps run these per partition cell from ``cli.cmd_sweep``.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (image_column_partition, mnist_column_split,
-                   partition_vertical, ratio_split, sample_tiny)
 from .model import as_matrix, as_vector
-from .protocol import VFLSystem, evaluate, splitnn_architecture, train_splitnn
+from .protocol import VFLSystem
 from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
-                        adi_generate, default_bound, spread_input_grads,
-                        _as_benign_views, _synthesize_rows)
+                        adi_generate, spread_input_grads, _as_benign_views,
+                        _synthesize_rows)
 
 
 @dataclass
@@ -195,140 +193,3 @@ def reconstruct_and_rate(study: PerturbationStudy, k: int, system: VFLSystem,
     projected = basis @ (basis.T @ study.mean_perturbation)
     evaluator = JointEvaluator(system, test_benign_views)
     return evaluator.attack_accuracy(study.base + projected, study.target)
-
-
-def _split_bound(cfg: SynthesisConfig, train_view_adv,
-                 multiplier: float) -> SynthesisConfig:
-    if cfg.strategy != "bounded":
-        return cfg
-    return replace(cfg, bound=default_bound(train_view_adv, multiplier))
-
-
-def _sweep(features, labels, specs, train_seeds, train_cfg: dict,
-           synth_cfgs, n_dominance: int, n_synth: int, test_fraction: float,
-           seed: int, tiny_seed: int, threshold: float,
-           bound_multiplier: float):
-    """The skeleton both sweeps share.
-
-    Splits the rows into train and test once. Then, per partition spec, it
-    trains a split network with that spec's train seed and measures its
-    test accuracy and the adversary's dominating rate. It samples adversary
-    rows and a benign tiny sample and measures the synthesis success of each
-    config; bounded configs get the bound of that split's adversary view,
-    times ``bound_multiplier``.
-    Yields (system, test views, accuracy, dominating rate, successes).
-    """
-    features = as_matrix(features)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    rng = np.random.default_rng(seed)
-    n = features.shape[0]
-    n_test = int(round(n * test_fraction))
-    order = rng.permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    n_classes = int(labels.max()) + 1
-    for spec, train_seed in zip(specs, train_seeds):
-        views = partition_vertical(features, spec)
-        train_views = [v[train_idx] for v in views]
-        test_views = [v[test_idx] for v in views]
-        dims, top = splitnn_architecture(train_views, train_cfg["local_hidden"],
-                                         train_cfg["top_hidden"], n_classes)
-        system, _ = train_splitnn(train_views, labels[train_idx], dims, top,
-                                  epochs=train_cfg.get("epochs", 10),
-                                  lr=train_cfg.get("lr", 0.05),
-                                  batch=train_cfg.get("batch", 64),
-                                  seed=train_seed,
-                                  momentum=train_cfg.get("momentum", 0.9))
-        accuracy = evaluate(system, test_views, labels[test_idx])["accuracy"]
-        benign = test_views[1:]
-        dom = dominating_rate(system, test_views[0][:n_dominance], benign,
-                              threshold)
-        sample = test_views[0][rng.choice(n_test, size=min(n_synth, n_test),
-                                          replace=False)]
-        tiny = sample_tiny(np.concatenate(benign, axis=1), min(20, n_test),
-                           seed=tiny_seed)
-        successes = [success_rate(system, sample,
-                                  _split_bound(cfg, train_views[0],
-                                               bound_multiplier), tiny,
-                                  benign, threshold)[0]
-                     for cfg in synth_cfgs]
-        yield system, test_views, accuracy, dom, successes
-
-
-def partition_ratio_sweep(features, labels, ratios, image_side: int | None,
-                          train_cfg: dict, synth_cfg: SynthesisConfig,
-                          n_dominance: int = 300, n_synth: int = 40,
-                          test_fraction: float = 0.2, seed: int = 0,
-                          threshold: float = 0.95,
-                          bound_multiplier: float = 1.0) -> ExperimentReport:
-    """Accuracy, per-side dominance, and synthesis success across feature
-    partition ratios. ``image_side`` switches to pixel-column partitioning.
-    A bounded ``synth_cfg`` is bounded per split by the adversary view's
-    feature variance times ``bound_multiplier``."""
-    t0 = time.time()
-    report = ExperimentReport(
-        "partition-ratio-sweep",
-        {"ratios": list(ratios), "train": train_cfg,
-         "synth": {"strategy": synth_cfg.strategy, "mode": synth_cfg.mode},
-         "n_dominance": n_dominance, "n_synth": n_synth},
-        ["ratio", "accuracy", "dominating_rate_adv", "dominating_rate_benign",
-         "synthesis_success"],
-        seed=seed)
-    specs = []
-    for ratio in ratios:
-        if image_side is not None:
-            n_a = int(round(image_side * ratio / (1.0 + ratio)))
-            specs.append(image_column_partition([n_a, image_side - n_a],
-                                                image_side))
-        else:
-            specs.append(ratio_split(np.shape(features)[1], ratio))
-    cells = _sweep(features, labels, specs,
-                   [seed + int(ratio * 100) for ratio in ratios], train_cfg,
-                   [synth_cfg], n_dominance, n_synth, test_fraction, seed,
-                   seed + 1, threshold, bound_multiplier)
-    for ratio, (system, test_views, accuracy, dom_a, successes) in \
-            zip(ratios, cells):
-        view_a, view_b = test_views
-        dom_b = dominating_rate(system, view_b[:n_dominance], [view_a],
-                                threshold, adv_index=1)
-        report.rows.append({
-            "ratio": float(ratio), "accuracy": accuracy,
-            "dominating_rate_adv": dom_a, "dominating_rate_benign": dom_b,
-            "synthesis_success": successes[0],
-        })
-    report.wallclock_secs = time.time() - t0
-    report.validate()
-    return report
-
-
-def participants_sweep(features, labels, counts, train_cfg: dict,
-                       synth_random: SynthesisConfig,
-                       synth_bounded: SynthesisConfig | None = None,
-                       n_dominance: int = 300, n_synth: int = 40,
-                       test_fraction: float = 0.2, seed: int = 0,
-                       threshold: float = 0.95,
-                       bound_multiplier: float = 1.0) -> ExperimentReport:
-    """Accuracy, dominance, and synthesis success for 2/3/5-party splits of
-    28x28 image data. Bounded configs are bounded per split by the
-    adversary view's feature variance times ``bound_multiplier``."""
-    t0 = time.time()
-    columns = ["participants", "accuracy", "dominating_rate",
-               "success_random"]
-    synth_cfgs = [synth_random]
-    if synth_bounded is not None:
-        columns.append("success_bounded")
-        synth_cfgs.append(synth_bounded)
-    report = ExperimentReport(
-        "participants-sweep",
-        {"counts": list(counts), "train": train_cfg,
-         "n_dominance": n_dominance, "n_synth": n_synth},
-        columns, seed=seed)
-    cells = _sweep(features, labels, [mnist_column_split(m) for m in counts],
-                   [seed + m for m in counts], train_cfg, synth_cfgs,
-                   n_dominance, n_synth, test_fraction, seed, seed + 2,
-                   threshold, bound_multiplier)
-    for m, (_, _, accuracy, dom, successes) in zip(counts, cells):
-        report.rows.append(dict(zip(columns,
-                                    [int(m), accuracy, dom, *successes])))
-    report.wallclock_secs = time.time() - t0
-    report.validate()
-    return report

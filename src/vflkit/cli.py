@@ -1,5 +1,7 @@
 """Command-line entry point: wires JSON run configs to training, dominance
 baselines, synthesis, fuzzing, variance analysis, the SVD study, and sweeps.
+A sweep runs the ``train``, ``dominance`` and ``synthesize`` pipeline once
+per partition cell, on one split of the dataset.
 
 ``_CONFIG`` lists every config key, by section, with its default.
 Precedence: command-line flag > config key > built-in default. The
@@ -13,6 +15,7 @@ import copy
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +61,8 @@ _CONFIG = {
     "partition": {"kind": None, "counts": None, "ratio": None,
                   "participants": 2, "image_side": 28},
     "model": {"local_hidden": [128, 64], "top_hidden": [64]},
-    # epochs and momentum: the protocol trainer's.
-    "train": {"epochs": None, "lr": 0.05, "batch": 64, "momentum": None},
+    # epochs: the protocol trainer's.
+    "train": {"epochs": None, "lr": 0.05, "batch": 64, "momentum": 0.9},
     # SynthesisConfig fields, then the bound's multiplier and sample size.
     "synthesis": {**dict.fromkeys(
         ("strategy", "mode", "alpha", "beta", "gamma", "momentum",
@@ -193,12 +196,19 @@ def _partition(cfg: dict, d: int) -> PartitionSpec:
     raise ConfigError(f"unknown partition kind {kind!r}")
 
 
-def _prepared(cfg: dict):
-    """Dataset -> (train views, test views, train labels, test labels, spec)."""
+def _split(cfg: dict):
+    """Dataset -> (dataset, train rows, test rows)."""
     ds = _load_dataset(cfg)
     dspec = _read(cfg, "dataset")
     train, test = train_test_split(ds, dspec["test_fraction"],
                                    seed=dspec["split_seed"])
+    return ds, train, test
+
+
+def _prepared(cfg: dict):
+    """Dataset -> (train views, test views, train labels, test labels, spec,
+    dataset)."""
+    ds, train, test = _split(cfg)
     spec = _partition(cfg, ds.d)
     return (partition_vertical(train, spec), partition_vertical(test, spec),
             train.labels, test.labels, spec, ds)
@@ -257,6 +267,15 @@ def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
         raise ConfigError(f"synthesis: {exc}") from None
 
 
+def _count(section: _Section, key: str) -> int:
+    """``section[key]``, which must be a positive integer."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{section.name}: {key} must be a positive "
+                          f"integer, got {value!r}")
+    return value
+
+
 def _sample_rows(rng: np.random.Generator, view: np.ndarray,
                  n: int) -> np.ndarray:
     return view[rng.choice(view.shape[0], size=min(n, view.shape[0]),
@@ -301,9 +320,10 @@ def cmd_dominance(cfg: dict, args) -> int:
     report = assessment.ExperimentReport(
         "dominance", dict(dom), ["threshold", "dominating_rate"],
         seed=cfg["seed"])
+    n_rows = _count(dom, "n_rows")
     for thr in dom["thresholds"]:
-        rate = assessment.dominating_rate(system, adv_test[:dom["n_rows"]],
-                                          benign, thr)
+        rate = assessment.dominating_rate(system, adv_test[:n_rows], benign,
+                                          thr)
         report.rows.append({"threshold": thr, "dominating_rate": rate})
     _write_report(out, "dominance", report)
     print("dominance: " + " ".join(
@@ -313,11 +333,7 @@ def cmd_dominance(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
-    n_inputs = _read(cfg, "synthesis")["n_inputs"]
-    if isinstance(n_inputs, bool) or not isinstance(n_inputs, int) \
-            or n_inputs < 1:
-        raise ConfigError(
-            f"synthesis: n_inputs must be a positive integer, got {n_inputs!r}")
+    n_inputs = _count(_read(cfg, "synthesis"), "n_inputs")
     out = _out_dir(cfg)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     scfg = _synthesis_config(cfg, args, train_views[0])
@@ -457,34 +473,66 @@ def cmd_svd(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
+    """Run ``train``, ``dominance`` and ``synthesize`` once per cell, on one
+    split of the dataset. A cell is the config with the cell's partition,
+    trained at the config seed; both rates use the ``sweep.synthesis``
+    settings and threshold."""
+    t0 = time.time()
     out = _out_dir(cfg)
-    ds = _load_dataset(cfg)
     sweep = _read(cfg, "sweep")
     kind = sweep["kind"]
-    # The sweeps bound each split by its own adversary view; until then the
-    # whole feature matrix stands in for it.
-    synth = {"synthesis": sweep["synthesis"]}
-    scfg = _synthesis_config(synth, args, ds.features)
-    mult = _read(synth, "synthesis")["bound_multiplier"]
-    # The report lists the epochs the sweep trains for, and momentum only
-    # where the config sets it (the sweep's default is assessment's).
-    train_cfg = {**_read(cfg, "model"), "epochs": 10, **_read(cfg, "train")}
-    common = {"n_dominance": sweep["n_dominance"], "n_synth": sweep["n_synth"],
-              "seed": cfg["seed"], "bound_multiplier": mult}
+    part = _read(cfg, "partition")
+    side = int(part["image_side"])
     if kind == "ratio":
-        report = assessment.partition_ratio_sweep(
-            ds.features, ds.labels, sweep["ratios"],
-            _read(cfg, "partition")["image_side"], train_cfg, scfg, **common)
+        listed, columns = "ratios", ["ratio", "accuracy", "dominating_rate_adv",
+                                     "dominating_rate_benign",
+                                     "synthesis_success"]
+        image = part["kind"] == "image_columns"
+        cells = [(float(r), {"kind": "ratio", "ratio": r} if not image else
+                  {"kind": "image_columns", "image_side": side,
+                   "counts": [len(c) for c in ratio_split(side, r).columns]})
+                 for r in sweep[listed]]
     elif kind == "participants":
-        report = assessment.participants_sweep(
-            ds.features, ds.labels, sweep["counts"], train_cfg, scfg, **common)
+        listed, columns = "counts", ["participants", "accuracy",
+                                     "dominating_rate", "success_random"]
+        cells = [(int(m), {"kind": "image_columns", "image_side": side,
+                           "participants": m}) for m in sweep[listed]]
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
+    n_dom, n_synth = _count(sweep, "n_dominance"), _count(sweep, "n_synth")
+    report = assessment.ExperimentReport(
+        "partition-ratio-sweep" if kind == "ratio" else "participants-sweep",
+        {listed: list(sweep[listed]), "n_dominance": n_dom, "n_synth": n_synth,
+         "train": {**_read(cfg, "model"), **_read(cfg, "train")}},
+        columns, seed=cfg["seed"])
+    ds, train, test = _split(cfg)
+    for value, partition in cells:
+        cell = {**cfg, "partition": partition}
+        spec = _partition(cell, ds.d)
+        train_views = partition_vertical(train, spec)
+        test_views = partition_vertical(test, spec)
+        scfg = _synthesis_config({"synthesis": sweep["synthesis"]}, args,
+                                 train_views[0])
+        system, _ = _train_system(cell, train_views, train.labels, cfg["seed"])
+        adv, benign = test_views[0], test_views[1:]
+        rates = [assessment.dominating_rate(system, adv[:n_dom], benign,
+                                            scfg.threshold)]
+        if kind == "ratio":
+            rates.append(assessment.dominating_rate(
+                system, benign[0][:n_dom], [adv], scfg.threshold, adv_index=1))
+            report.config["synth"] = {"strategy": scfg.strategy,
+                                      "mode": scfg.mode}
+        rows = _sample_rows(np.random.default_rng(cfg["seed"]), adv, n_synth)
+        success, _ = assessment.success_rate(
+            system, rows, scfg, _tiny_sample(cfg, benign), benign,
+            scfg.threshold)
+        accuracy = evaluate(system, test_views, test.labels)["accuracy"]
+        report.rows.append(dict(zip(columns,
+                                    [value, accuracy, *rates, success])))
+    report.wallclock_secs = time.time() - t0
     _write_report(out, f"sweep-{kind}", report)
-    key = "ratio" if kind == "ratio" else "participants"
-    cells = " ".join(f"{r[key]}:{r.get('synthesis_success', r.get('success_random', 0)):.2f}"
-                     for r in report.rows)
-    print(f"sweep-{kind}: success_by_{key} {cells}")
+    print(f"sweep-{kind}: success_by_{columns[0]} " + " ".join(
+        f"{r[columns[0]]}:{r[columns[-1]]:.2f}" for r in report.rows))
     return 0
 
 

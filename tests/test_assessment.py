@@ -1,20 +1,24 @@
 """Characterization tests for the assessment studies, pinned to
-``tests/golden/assessment.json``."""
-import numpy as np
-
+``tests/golden/assessment.json``, and the CLI sweeps built on them."""
 import golden
-from vflkit import synth_data
-from vflkit.assessment import (ExperimentReport, participants_sweep,
-                               partition_ratio_sweep, report_filename,
-                               reward_shares, _split_bound)
-from vflkit.synthesis import SynthesisConfig, default_bound
+from test_cli import _report, _run
+from test_sweep_cells import check_cells_match_separate_runs
+from vflkit.assessment import ExperimentReport, report_filename, reward_shares
 
-TRAIN = {"local_hidden": [16], "top_hidden": [16], "epochs": 4, "lr": 0.1,
-         "batch": 32}
-
-
-def _rows(report):
-    return {"config": report.config, "rows": report.rows}
+# A two-party split network on a small tabular dataset, swept over two
+# column ratios with bounded synthesis.
+VEHICLE_SWEEP = {
+    "seed": 2,
+    "dataset": {"kind": "synthetic", "name": "vehicle", "n": 300},
+    "partition": {"kind": "ratio", "ratio": 1.0},
+    "protocol": "splitnn",
+    "model": {"local_hidden": [16], "top_hidden": [16]},
+    "train": {"epochs": 4, "lr": 0.1, "batch": 32},
+    "sweep": {"kind": "ratio", "ratios": [0.5, 2.0], "n_dominance": 40,
+              "n_synth": 3,
+              "synthesis": {"strategy": "bounded", "max_rounds": 4,
+                            "inner_steps": 3, "inner_lr": 0.5}},
+}
 
 
 def test_reward_shares_credit(credit_setup):
@@ -31,47 +35,24 @@ def test_reward_shares_digits(digits_setup):
                  {"shares": shares, "degenerate": degenerate})
 
 
-def test_ratio_sweep_on_tabular_data_with_bounded_synthesis():
-    ds = synth_data.make_vehicle_like(300)
-    # The sweep replaces this bound by each split's own adversary bound.
-    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1), max_rounds=4,
-                          inner_steps=3, inner_lr=0.5)
-    report = partition_ratio_sweep(ds.features, ds.labels, [0.5, 2.0], None,
-                                   TRAIN, cfg, n_dominance=40, n_synth=3,
-                                   seed=2)
-    golden.check("assessment", "ratio-sweep-tabular-bounded", _rows(report))
+def test_ratio_sweep_on_tabular_data_with_bounded_synthesis(tmp_path):
+    """Each cell is bounded by its own adversary train view, as
+    ``synthesize`` bounds the cell's config."""
+    check_cells_match_separate_runs(
+        tmp_path, VEHICLE_SWEEP,
+        [(r, {"kind": "ratio", "ratio": r}) for r in (0.5, 2.0)])
 
 
-def test_participants_sweep_with_both_strategies():
-    ds = synth_data.make_digits_like(300, seed=21)
-    random = SynthesisConfig(max_rounds=4, inner_steps=3, inner_lr=0.5)
-    bounded = SynthesisConfig(strategy="bounded", bound=np.ones(1),
-                              max_rounds=4, inner_steps=3, inner_lr=0.5)
-    report = participants_sweep(ds.features, ds.labels, [2, 5], TRAIN,
-                                random, bounded, n_dominance=40, n_synth=3,
-                                seed=3)
-    golden.check("assessment", "participants-sweep-both", _rows(report))
-
-
-def test_split_bound_carries_the_multiplier():
-    view = np.random.default_rng(4).standard_normal((50, 6))
-    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1))
-    for mult in (0.01, 1.0, 100.0):
-        bound = _split_bound(cfg, view, mult).bound
-        assert bound.tobytes() == default_bound(view, mult).tobytes()
-    random = SynthesisConfig()
-    assert _split_bound(random, view, 100.0) is random
-
-
-def test_ratio_sweep_honours_the_bound_multiplier():
-    ds = synth_data.make_vehicle_like(300)
-    cfg = SynthesisConfig(strategy="bounded", bound=np.ones(1), max_rounds=4,
-                          inner_steps=3, inner_lr=0.5)
-    rows = {mult: partition_ratio_sweep(ds.features, ds.labels, [0.5, 2.0],
-                                        None, TRAIN, cfg, n_dominance=40,
-                                        n_synth=3, seed=2,
-                                        bound_multiplier=mult).rows
-            for mult in (0.01, 100.0)}
+def test_ratio_sweep_honours_the_bound_multiplier(tmp_path):
+    rows = {}
+    for mult in (0.01, 100.0):
+        doc = {**VEHICLE_SWEEP, "sweep": {**VEHICLE_SWEEP["sweep"]}}
+        doc["sweep"]["synthesis"] = {**doc["sweep"]["synthesis"],
+                                     "bound_multiplier": mult}
+        (tmp_path / str(mult)).mkdir()
+        code, out = _run(tmp_path / str(mult), doc, "sweep")
+        assert code == 0
+        rows[mult] = _report(out, "sweep-ratio")["rows"]
     assert rows[0.01] != rows[100.0]
 
 

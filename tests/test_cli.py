@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import golden
-from vflkit import assessment, cli, synth_data
+from vflkit import cli, synth_data
 from vflkit.data import PartitionSpec, partition_vertical
 from vflkit.protocol import train_splitnn
 
@@ -342,6 +342,22 @@ class TestExitCodes:
                        "--checkpoint", str(credit_ckpt))
         self._fails(capsys, code, 1, "config error: synthesis:")
 
+    @pytest.mark.parametrize("value", [-100, 0, 2.5, True])
+    @pytest.mark.parametrize("command, section, key", [
+        ("dominance", "dominance", "n_rows"),
+        ("synthesize", "synthesis", "n_inputs"),
+        ("sweep", "sweep", "n_dominance"),
+        ("sweep", "sweep", "n_synth")])
+    def test_count_must_be_a_positive_integer(self, tmp_path, capsys,
+                                              credit_ckpt, command, section,
+                                              key, value):
+        doc = dict(DIGITS if command == "sweep" else CREDIT)
+        doc[section] = {**doc.get(section, {}), key: value}
+        code, _ = _run(tmp_path, doc, command, "--checkpoint",
+                       str(credit_ckpt))
+        self._fails(capsys, code, 1, f"config error: {section}: {key} must "
+                                     "be a positive integer")
+
 
 _FIXTURE = {"weights": [0.4, 0.6], "mus": [-1.0, 0.5], "sigmas": [0.5, 1.5]}
 
@@ -410,7 +426,7 @@ def test_sweep_trains_with_the_configured_momentum(tmp_path, monkeypatch,
         seen.append(kwargs["momentum"])
         return train_splitnn(*args, **kwargs)
 
-    monkeypatch.setattr(assessment, "train_splitnn", recording)
+    monkeypatch.setattr(cli, "train_splitnn", recording)
     doc = {**DIGITS, "train": {**DIGITS["train"], **train}}
     code, _ = _run(tmp_path, doc, "sweep")
     assert code == 0

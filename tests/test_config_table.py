@@ -5,7 +5,7 @@ import json
 import pytest
 
 from test_cli import CREDIT, DIGITS, _report, _run, credit_ckpt  # noqa: F401
-from vflkit import assessment, cli, synth_data
+from vflkit import assessment, cli
 from vflkit.fuzzer import CampaignConfig
 from vflkit.synthesis import SynthesisConfig
 
@@ -83,21 +83,27 @@ def test_table_defaults_are_the_effective_ones(tmp_path, credit_ckpt,
 
 
 def test_partition_ratio_sweep_measures_dominance_at_its_threshold(
-        monkeypatch):
-    seen = []
-    real = assessment.dominating_rate
+        tmp_path, monkeypatch):
+    """The sweep's dominating rates and synthesis success are taken at
+    ``sweep.synthesis.threshold``."""
+    seen = {"dominance": [], "success": []}
+    dominating_rate, success_rate = (assessment.dominating_rate,
+                                     assessment.success_rate)
 
-    def recording(system, adv_rows, benign, threshold, **kwargs):
-        seen.append(threshold)
-        return real(system, adv_rows, benign, threshold, **kwargs)
+    def dominance(system, adv_rows, benign, threshold, **kwargs):
+        seen["dominance"].append(threshold)
+        return dominating_rate(system, adv_rows, benign, threshold, **kwargs)
 
-    monkeypatch.setattr(assessment, "dominating_rate", recording)
-    ds = synth_data.make_digits_like(200, seed=3)
-    synth = cli._synthesis_config(
-        {"synthesis": DIGITS["sweep"]["synthesis"]}, None, ds.features)
-    train_cfg = {"local_hidden": [8], "top_hidden": [8], "epochs": 1}
-    report = assessment.partition_ratio_sweep(
-        ds.features, ds.labels, [1.0], 28, train_cfg, synth, n_dominance=10,
-        n_synth=1, threshold=0.5)
-    assert seen == [0.5, 0.5]
-    assert len(report.rows) == 1
+    def success(system, rows, cfg, tiny, benign, threshold):
+        seen["success"].append((cfg.threshold, threshold))
+        return success_rate(system, rows, cfg, tiny, benign, threshold)
+
+    monkeypatch.setattr(assessment, "dominating_rate", dominance)
+    monkeypatch.setattr(assessment, "success_rate", success)
+    sweep = DIGITS["sweep"]
+    doc = {**DIGITS, "sweep": {**sweep, "kind": "ratio", "synthesis": {
+        **sweep["synthesis"], "threshold": 0.5}}}
+    code, out = _run(tmp_path, doc, "sweep")
+    assert code == 0
+    assert seen == {"dominance": [0.5, 0.5], "success": [(0.5, 0.5)]}
+    assert len(_report(out, "sweep-ratio")["rows"]) == 1
