@@ -495,6 +495,13 @@ def cmd_sweep(cfg: dict, args) -> int:
     elif kind == "participants":
         listed, columns = "counts", ["participants", "accuracy",
                                      "dominating_rate", "success_random"]
+        # Checks the count alone, before any data is loaded; the default
+        # side fits every supported count.
+        for m in sweep[listed]:
+            try:
+                mnist_column_split(int(m))
+            except ValueError as exc:
+                raise ConfigError(f"sweep.counts: {exc}") from None
         cells = [(int(m), {"kind": "image_columns", "image_side": side,
                            "participants": m}) for m in sweep[listed]]
     else:

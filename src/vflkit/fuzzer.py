@@ -119,6 +119,25 @@ def _target_mask(system: VFLSystem, jt: _JointTrace, idx: int,
     return mask / peak if peak > 0 else mask
 
 
+def _row_free_mask(evaluator: JointEvaluator, seed: FuzzSeed):
+    """The adversary's target mask for ``seed.target`` when the system shows
+    that it cannot depend on the row, else None; memoised per label in
+    ``evaluator.memo``. A HeteroLR coordinator passes the logit gradient to
+    the adversary unchanged, and a linear layer's input gradient reads no
+    activation, so with linear layers only every row's ``_target_mask`` is
+    this very array."""
+    key = ("row_free_mask", seed.target)
+    if key not in evaluator.memo:
+        system = evaluator.system
+        row_free = system.coordinator.kind == "heterolr" and all(
+            layer.kind == "linear"
+            for layer in system.participants[0].model.layers)
+        evaluator.memo[key] = _target_mask(
+            system, evaluator.row_trace(seed.origin, 0), 0,
+            seed.target) if row_free else None
+    return evaluator.memo[key]
+
+
 def compute_mask(system: VFLSystem, views, participant_id: str,
                  label: int) -> np.ndarray:
     """Saliency mask in [0, 1] for one participant's single input row:
@@ -163,25 +182,32 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
     original input's mask ignores. The result stays within the bound box
     around the seed's lineage origin.
 
-    Each benign row costs one forward and one backward of the adversary's
-    model. ``s_views`` may be a JointEvaluator over the benign sample; its
-    memo then keeps the origin's masks from one call to the next. Only the
-    seed, the bound and the returned row are checked, not each row's pass.
+    Each benign row costs one forward of the adversary's model. Where the
+    mask depends on the row (a SplitNN coordinator, or an activation layer
+    in the adversary's model) it also costs one backward, and the origin's
+    mask one more forward and backward per benign row. Under HeteroLR with
+    linear layers only, the mask is the same array for every row, the
+    origin's included, and is computed once per label. ``s_views`` may be a
+    JointEvaluator over the benign sample; its memo then keeps these masks
+    from one call to the next. Only the seed, the bound and the returned row
+    are checked, not each row's pass.
     """
     evaluator = _evaluator(system, s_views)
     bound = as_vector(bound, seed.input.shape[0])
     scale = np.sqrt(bound)
     x = seed.input + rng.standard_normal(seed.input.shape[0]) * (
         noise_std_factor * scale)
-    origin_masks = evaluator.memo.setdefault(
+    shared = _row_free_mask(evaluator, seed)
+    origin_masks = {} if shared is not None else evaluator.memo.setdefault(
         ("origin_mask", seed.origin.tobytes(), seed.target), {})
     for j in range(evaluator.n):
         jt = evaluator.row_trace(x, j)
-        mask_new = _target_mask(system, jt, 0, seed.target)
+        mask_new = shared if shared is not None else _target_mask(
+            system, jt, 0, seed.target)
         if int(_labels(jt.probs)[0]) == seed.target:
             x = x + mask_weight * mask_new * scale
         else:
-            mask_orig = origin_masks.get(j)
+            mask_orig = shared if shared is not None else origin_masks.get(j)
             if mask_orig is None:
                 mask_orig = origin_masks[j] = _target_mask(
                     system, evaluator.row_trace(seed.origin, j), 0,
@@ -219,6 +245,9 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
     benign test view and recorded when they reach the low dominating
     threshold; mutants that merely reduce the benign saliency score re-enter
     the queue. Deterministic given (corpus, system, sample, config).
+
+    Each lineage's origin row is made once and is read-only; every candidate
+    of that lineage holds this one array as its ``base``.
     """
     if not isinstance(system, VFLSystem):
         raise TypeError("fuzz_campaign(corpus, system, ...): system must be a "
@@ -236,10 +265,14 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
     t_start = time.monotonic()
 
     queue: deque[FuzzSeed] = deque()
+    origins = []
     for lineage, row in enumerate(corpus):
         label, _ = sample_eval.majority_label(row)
         score = _benign_mean_score(system, row, sample_eval, calibration)
-        queue.append(FuzzSeed(row.copy(), label, score, lineage, row.copy()))
+        origin = row.copy()
+        origin.flags.writeable = False
+        origins.append(origin)
+        queue.append(FuzzSeed(row.copy(), label, score, lineage, origin))
 
     low = cfg.thresholds[0]
     result = FuzzResult(adis=[])
@@ -261,7 +294,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
                       cfg.stable_fraction):
                 r_full = full_eval.attack_accuracy(x_new, seed.target)
                 if r_full >= low:
-                    cand = AdiCandidate(seed.origin.copy(),
+                    cand = AdiCandidate(origins[seed.lineage_id],
                                         x_new - seed.origin, seed.target,
                                         float(r_full), iteration + 1,
                                         "bounded", "greybox",

@@ -136,7 +136,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # -|x| is exactly -x where x >= 0 and x elsewhere, so each branch sees
     # the exponent a split by sign would give it, and exp never overflows.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:

@@ -108,6 +108,9 @@ class SynthesisConfig:
 
 @dataclass
 class AdiCandidate:
+    """A found ADI: ``input`` is ``base + perturbation``. A fuzz lineage's
+    candidates share one read-only origin row as their ``base``."""
+
     base: np.ndarray                  # adversary's original feature row
     perturbation: np.ndarray          # accumulated mutation
     target: int
