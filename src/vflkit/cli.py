@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import assessment, synth_data
-from .data import (Dataset, PartitionSpec, image_column_partition, load_csv,
-                   load_idx, mnist_column_split, normalize, partition_vertical,
-                   ratio_split, sample_tiny, train_test_split)
+from .data import (Dataset, PartitionSpec, _test_mask, image_column_partition,
+                   load_csv, load_idx, mnist_column_split, normalize,
+                   ratio_split, sample_tiny, split_views)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
 from .protocol import (evaluate, load_system, save_system,
                        splitnn_architecture, train_heterolr,
@@ -197,21 +197,27 @@ def _partition(cfg: dict, d: int) -> PartitionSpec:
 
 
 def _split(cfg: dict):
-    """Dataset -> (dataset, train rows, test rows)."""
-    ds = _load_dataset(cfg)
+    """The dataset and the mask of its stratified test rows. The split
+    settings are checked before any data is loaded."""
     dspec = _read(cfg, "dataset")
-    train, test = train_test_split(ds, dspec["test_fraction"],
-                                   seed=dspec["split_seed"])
-    return ds, train, test
+    fraction = _setting(dspec, "test_fraction", lambda v: 0 < v < 1,
+                        "a number in (0, 1)", (int, float))
+    seed = _setting(dspec, "split_seed", lambda v: v >= 0,
+                    "a non-negative integer")
+    ds = _load_dataset(cfg)
+    return ds, _test_mask(ds.labels, fraction, seed)
 
 
 def _prepared(cfg: dict):
     """Dataset -> (train views, test views, train labels, test labels, spec,
-    dataset)."""
-    ds, train, test = _split(cfg)
+    (mean, std) of the normalization or None).
+
+    Each view is gathered from the dataset in one copy (``split_views``),
+    and nothing returned refers to the dataset, which is freed on return.
+    """
+    ds, test_mask = _split(cfg)
     spec = _partition(cfg, ds.d)
-    return (partition_vertical(train, spec), partition_vertical(test, spec),
-            train.labels, test.labels, spec, ds)
+    return (*split_views(ds, spec, test_mask), spec, ds.norm_stats)
 
 
 def _train_system(cfg: dict, train_views, labels, seed: int):
@@ -267,13 +273,21 @@ def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
         raise ConfigError(f"synthesis: {exc}") from None
 
 
+def _setting(section: _Section, key: str, ok, what: str, types=int):
+    """``section[key]``, which must be a non-bool instance of ``types`` for
+    which ``ok`` holds; otherwise a configuration error saying ``what`` it
+    must be."""
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, types) \
+            or not ok(value):
+        raise ConfigError(f"{section.name}: {key} must be {what}, "
+                          f"got {value!r}")
+    return value
+
+
 def _count(section: _Section, key: str) -> int:
     """``section[key]``, which must be a positive integer."""
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{section.name}: {key} must be a positive "
-                          f"integer, got {value!r}")
-    return value
+    return _setting(section, key, lambda v: v >= 1, "a positive integer")
 
 
 def _sample_rows(rng: np.random.Generator, view: np.ndarray,
@@ -512,15 +526,14 @@ def cmd_sweep(cfg: dict, args) -> int:
         {listed: list(sweep[listed]), "n_dominance": n_dom, "n_synth": n_synth,
          "train": {**_read(cfg, "model"), **_read(cfg, "train")}},
         columns, seed=cfg["seed"])
-    ds, train, test = _split(cfg)
+    ds, test_mask = _split(cfg)
     for value, partition in cells:
         cell = {**cfg, "partition": partition}
-        spec = _partition(cell, ds.d)
-        train_views = partition_vertical(train, spec)
-        test_views = partition_vertical(test, spec)
+        train_views, test_views, ytr, yte = split_views(
+            ds, _partition(cell, ds.d), test_mask)
         scfg = _synthesis_config({"synthesis": sweep["synthesis"]}, args,
                                  train_views[0])
-        system, _ = _train_system(cell, train_views, train.labels, cfg["seed"])
+        system, _ = _train_system(cell, train_views, ytr, cfg["seed"])
         adv, benign = test_views[0], test_views[1:]
         rates = [assessment.dominating_rate(system, adv[:n_dom], benign,
                                             scfg.threshold)]
@@ -533,7 +546,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         success, _ = assessment.success_rate(
             system, rows, scfg, _tiny_sample(cfg, benign), benign,
             scfg.threshold)
-        accuracy = evaluate(system, test_views, test.labels)["accuracy"]
+        accuracy = evaluate(system, test_views, yte)["accuracy"]
         report.rows.append(dict(zip(columns,
                                     [value, accuracy, *rates, success])))
     report.wallclock_secs = time.time() - t0

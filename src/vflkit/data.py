@@ -142,7 +142,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise ValueError(f"{labels_path}: truncated label data")
     if n_labels != n:
         raise ValueError(f"image count {n} != label count {n_labels}")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    pixels /= 255.0
     features = pixels.reshape(n, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     names = [f"px{r:02d}_{c:02d}" for r in range(rows) for c in range(cols)]
@@ -165,14 +166,34 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray,
         fh.write(labels.tobytes())
 
 
+def _check_covers(spec: PartitionSpec, d: int):
+    if spec.d != d:
+        raise ValueError(f"partition covers {spec.d} columns, dataset has {d}")
+
+
 def partition_vertical(ds_or_features, spec: PartitionSpec) -> list[np.ndarray]:
     """Split feature columns into per-participant views (order preserved)."""
     features = ds_or_features.features if isinstance(ds_or_features, Dataset) \
         else as_matrix(ds_or_features)
-    if spec.d != features.shape[1]:
-        raise ValueError(
-            f"partition covers {spec.d} columns, dataset has {features.shape[1]}")
+    _check_covers(spec, features.shape[1])
     return [features[:, cols] for cols in spec.columns]
+
+
+def split_views(ds: Dataset, spec: PartitionSpec, test_mask: np.ndarray):
+    """Each party's train and test views, then the train and test labels.
+
+    ``test_mask`` marks the test rows; ``_test_mask`` gives the stratified
+    split that ``train_test_split`` makes. The views and labels equal
+    ``partition_vertical`` of that split, but each view is gathered from
+    ``ds`` in one copy, C-ordered, with no train or test ``Dataset`` in
+    between, and none of them refers to ``ds``.
+    """
+    _check_covers(spec, ds.d)
+    train_rows, test_rows = np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
+    train_views, test_views = (
+        [ds.features[np.ix_(rows, cols)] for cols in spec.columns]
+        for rows in (train_rows, test_rows))
+    return train_views, test_views, ds.labels[train_rows], ds.labels[test_rows]
 
 
 def concat_views(views: list[np.ndarray], spec: PartitionSpec) -> np.ndarray:
@@ -258,13 +279,17 @@ def synth_gmm_dataset(weights, means, covs, n: int, seed: int) -> Dataset:
 
 
 def normalize(ds: Dataset) -> Dataset:
-    """Z-score features; constant columns map to zero with a floored std."""
+    """Z-score features; constant columns map to zero with a floored std.
+
+    The result holds one new feature array, divided in place, and ``ds`` is
+    left as it was."""
     if ds.n < 2:
         raise ValueError("need at least two rows to normalize")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
     std = np.where(std < STD_FLOOR, STD_FLOOR, std)
-    features = (ds.features - mean) / std
+    features = ds.features - mean
+    features /= std
     return replace(ds, features=features, norm_stats=(mean, std))
 
 
@@ -275,18 +300,27 @@ def inverse_normalize(ds: Dataset) -> Dataset:
     return replace(ds, features=ds.features * std + mean, norm_stats=None)
 
 
+def _test_mask(labels: np.ndarray, test_fraction: float,
+               seed: int) -> np.ndarray:
+    """The stratified split's test rows, as a boolean mask over ``labels``.
+
+    Label by label in sorted order, one generator seeded with ``seed``
+    permutes the label's rows, and the first max(1, round(n * test_fraction))
+    of them are test rows.
+    """
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(labels.shape[0], dtype=bool)
+    for label in np.unique(labels):
+        idx = rng.permutation(np.flatnonzero(labels == label))
+        mask[idx[:max(1, int(round(len(idx) * test_fraction)))]] = True
+    return mask
+
+
 def train_test_split(ds: Dataset, test_fraction: float = 0.2,
                      seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Stratified-by-label split with a fixed seed."""
-    rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    for label in np.unique(ds.labels):
-        idx = np.flatnonzero(ds.labels == label)
-        idx = rng.permutation(idx)
-        n_test = max(1, int(round(len(idx) * test_fraction)))
-        test_idx.extend(idx[:n_test])
-    mask = np.zeros(ds.n, dtype=bool)
-    mask[test_idx] = True
+    """Stratified-by-label split with a fixed seed; the test rows are
+    ``_test_mask``'s, as in ``split_views``."""
+    mask = _test_mask(ds.labels, test_fraction, seed)
     train = Dataset(ds.features[~mask], ds.labels[~mask], ds.feature_names,
                     ds.norm_stats)
     test = Dataset(ds.features[mask], ds.labels[mask], ds.feature_names,

@@ -20,14 +20,17 @@ the HeteroLR head's sum broadcasts it by itself.
 
 As in ``model``, the public passes check their input (views, output
 gradient, probabilities); the cores ``_coordinator_backward`` and
-``_labels`` trust their caller, and so does ``party_input_grads``.
+``_labels`` trust their caller, and so does ``party_input_grads``. The
+coordinator's forward runs the SplitNN top model on ``model._forward``: its
+input is joined from local outputs the package computed. Only
+``joint_forward`` runs every model, the top one included, through the
+public ``model.forward``, where the benchmark's span tracer counts them.
 
 Training (``_fit``) checks its views once. Its batches then run on the
 cores: ``_forward`` per party, ``_joint_trace``, ``_coordinator_backward``
 and ``_backward`` without layer 0's input gradient, which no step reads.
 The batch's output gradient keeps one finiteness check, so a diverging fit
-raises ValueError before its update, and the top model's forward keeps its
-own check.
+raises ValueError before its update.
 """
 from __future__ import annotations
 
@@ -150,18 +153,18 @@ class _JointTrace:
     probs: np.ndarray
 
 
-def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
+def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray],
+                         top_forward=_forward):
     coord = system.coordinator
     if coord.kind == "heterolr":
         score = sum(locals_) + coord.bias
         probs = _sigmoid(score) if system.output_dim == 1 else _softmax(score)
         return probs, score
-    concat = np.concatenate(locals_, axis=-1)
-    probs, trace = forward(coord.top_model, concat)
-    return probs, trace
+    return top_forward(coord.top_model, np.concatenate(locals_, axis=-1))
 
 
-def _joint_trace(system: VFLSystem, passes: list) -> _JointTrace:
+def _joint_trace(system: VFLSystem, passes: list,
+                 top_forward=_forward) -> _JointTrace:
     """Joint trace of the parties' local (output, trace) ``passes``, the
     trace None for a party not backpropagated into; see the module
     docstring."""
@@ -172,7 +175,7 @@ def _joint_trace(system: VFLSystem, passes: list) -> _JointTrace:
                   np.broadcast_to(out, lead + out.shape[-1:]) for out in outs]
     else:
         joined = outs
-    probs, coord_trace = _coordinator_forward(system, joined)
+    probs, coord_trace = _coordinator_forward(system, joined, top_forward)
     return _JointTrace([trace for _, trace in passes], outs, coord_trace,
                        probs)
 
@@ -180,7 +183,7 @@ def _joint_trace(system: VFLSystem, passes: list) -> _JointTrace:
 def joint_forward(system: VFLSystem, views) -> _JointTrace:
     views = _check_views(system, views)
     return _joint_trace(system, [forward(part.model, view) for part, view
-                                 in zip(system.participants, views)])
+                                 in zip(system.participants, views)], forward)
 
 
 def joint_inference(system: VFLSystem, views) -> np.ndarray:
