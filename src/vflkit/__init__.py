@@ -21,8 +21,7 @@ from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                         output_spread, saliency_est, saliency_est_fdm)
 from .fuzzer import (CampaignConfig, FuzzSeed, SaliencyCalibration,
                      calibrate_saliency, compute_mask, fuzz_campaign, is_adi,
-                     mutate_saliency_aware, reduce_saliency,
-                     run_cooperative_session, saliency_score)
+                     mutate_saliency_aware, reduce_saliency, saliency_score)
 from .variance import (Gmm, ScalarMixture, bounded_existence_check,
                        fit_gmm_em, heterolr_variance, project_mixture,
                        splitnn_unit_variance, variance_monte_carlo)

@@ -392,7 +392,7 @@ def cmd_fuzz(cfg: dict, args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fuzz: {exc}") from None
     calib = calibrate_saliency(system, train_views)
-    result = fuzz_campaign(corpus, system, [tiny.rows], camp, benign, calib)
+    result = fuzz_campaign(corpus, system, tiny, camp, benign, calib)
     write_candidates(result.adis, out / "adis.jsonl")
     with open(out / "campaign_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.log:

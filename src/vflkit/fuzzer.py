@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import as_matrix, as_vector, backward as model_backward, \
-    forward as model_forward, _forward, _is_finite_real, _is_integer
-from .protocol import (ProtocolMessage, VFLSystem, audit_trace, AuditError,
-                       coordinator_backward, joint_forward,
-                       party_input_grads, _JointTrace, _labels)
+from .model import as_matrix, as_vector, _forward, _is_finite_real, \
+    _is_integer
+from .protocol import (VFLSystem, joint_forward, party_input_grads,
+                       _JointTrace, _labels)
 from .synthesis import (AdiCandidate, JointEvaluator, spread_grad,
                         spread_input_grads, _as_bound, _evaluator, _require)
 
@@ -80,12 +79,11 @@ def participant_saliency_l1(system: VFLSystem, views) -> np.ndarray:
     return np.stack([np.abs(g).sum(axis=1) for g in grads], axis=1)
 
 
-def calibrate_saliency(system: VFLSystem, train_views,
-                       percentile: float = 99.0) -> SaliencyCalibration:
+def calibrate_saliency(system: VFLSystem, train_views) -> SaliencyCalibration:
     norms = participant_saliency_l1(system, train_views)
     scales = {}
     for part, col in zip(system.participants, norms.T):
-        scale = float(np.percentile(col, percentile))
+        scale = float(np.percentile(col, 99.0))
         scales[part.id] = max(scale, 1e-12)
     return SaliencyCalibration(scales)
 
@@ -187,10 +185,11 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
     in the adversary's model) it also costs one backward, and the origin's
     mask one more forward and backward per benign row. Under HeteroLR with
     linear layers only, the mask is the same array for every row, the
-    origin's included, and is computed once per label. ``s_views`` may be a
-    JointEvaluator over the benign sample; its memo then keeps these masks
-    from one call to the next. Only the seed, the bound and the returned row
-    are checked, not each row's pass.
+    origin's included, and is computed once per label; the two masks then
+    agree, so a pairing that misses the target leaves the row as it is.
+    ``s_views`` may be a JointEvaluator over the benign sample; its memo
+    then keeps these masks from one call to the next. Only the seed, the
+    bound and the returned row are checked, not each row's pass.
     """
     evaluator = _evaluator(system, s_views)
     bound = as_vector(bound, seed.input.shape[0])
@@ -206,8 +205,8 @@ def mutate_saliency_aware(seed: FuzzSeed, s_views, system: VFLSystem,
             system, jt, 0, seed.target)
         if int(_labels(jt.probs)[0]) == seed.target:
             x = x + mask_weight * mask_new * scale
-        else:
-            mask_orig = shared if shared is not None else origin_masks.get(j)
+        elif shared is None:
+            mask_orig = origin_masks.get(j)
             if mask_orig is None:
                 mask_orig = origin_masks[j] = _target_mask(
                     system, evaluator.row_trace(seed.origin, j), 0,
@@ -320,195 +319,3 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
         })
         result.n_iterations = iteration + 1
     return result
-
-
-# Cooperative multi-party fuzzing: the benign sample never leaves the benign
-# side; only local outputs, gradients at the cut layer, saliency scores, and
-# aggregate ratios cross party boundaries.
-
-@dataclass
-class CooperationConfig:
-    n_noise: int = 8            # noised variants per round (step 2)
-    n_inner: int = 5            # repeats of steps 3-10 per candidate
-    n_outer: int = 50           # repeats of step 2 (candidate picks)
-    mask_weight: float = 0.2
-    bound: np.ndarray | None = None
-    noise_std_factor: float = 0.1
-    threshold: float = 0.95
-    seed: int = 0
-
-    def __post_init__(self):
-        _require(self, ("n_noise", "n_inner", "n_outer"),
-                 lambda v: _is_integer(v) and v >= 1, "an integer >= 1")
-        _require(self, ("mask_weight",),
-                 lambda v: _is_finite_real(v) and 0 <= v <= 1, "in [0, 1]")
-        _require(self, ("noise_std_factor",),
-                 lambda v: _is_finite_real(v) and v >= 0, "finite and >= 0")
-        _require(self, ("threshold",),
-                 lambda v: _is_finite_real(v) and 0 < v <= 1, "in (0, 1]")
-        self.bound = _as_bound(self.bound)
-
-
-@dataclass
-class CooperationResult:
-    found: list[AdiCandidate]
-    messages: list[ProtocolMessage]
-    ratio_log: list[dict]
-
-
-def run_cooperative_session(system: VFLSystem, corpus, s_benign,
-                            cfg: CooperationConfig) -> CooperationResult:
-    """Fuzz with explicit participant/coordinator message passing.
-
-    Follows the cooperation protocol steps 1-12: the adversary-side party
-    submits noised local outputs, the coordinator returns joint outputs,
-    cut-layer gradients, and attack-success rates, both sides report
-    saliency scores, and the coordinator's score ratios decide which masked
-    retry is kept. The full trace is audited for raw-feature leaks.
-    """
-    corpus = as_matrix(corpus)
-    evaluator = JointEvaluator(system, s_benign)
-    if cfg.bound is None:
-        raise ValueError("cooperative session requires a mutation bound")
-    bound = cfg.bound
-    rng = np.random.default_rng(cfg.seed)
-    adv = system.participants[0]
-    messages: list[ProtocolMessage] = []
-    ratio_log: list[dict] = []
-    found: list[AdiCandidate] = []
-
-    def send(step, sender, receiver, kind, payload):
-        arr = None if payload is None else np.asarray(payload, dtype=np.float64)
-        size = 0 if arr is None else arr.size
-        messages.append(ProtocolMessage(step, sender, receiver, kind, size, arr))
-
-    # Step 1: adversary picks index seeds; benign side ships local outputs.
-    pending = list(range(corpus.shape[0]))
-    store = {i: corpus[i].copy() for i in pending}
-    for part, (out, _) in zip(system.participants[1:], evaluator.fixed()):
-        send("1", part.id, "C", "local_output", out)
-
-    def benign_scores(index_b, branch_grad_row):
-        # Each benign party backpropagates through its own pass of the row.
-        scores = []
-        for part, (_, trace), g in zip(system.participants[1:],
-                                       evaluator.fixed(index_b),
-                                       branch_grad_row):
-            _, ig = model_backward(part.model, trace, g[None, :],
-                                   with_params=False)
-            scores.append((part.id, float(np.abs(ig).sum())))
-        return scores
-
-    outer = 0
-    cursor = 0
-    while pending and outer < cfg.n_outer:
-        outer += 1
-        # Step 2: choose next index, noise it, submit noised local outputs.
-        index_a = pending[cursor % len(pending)]
-        cursor += 1
-        x_current = store[index_a]
-        origin = corpus[index_a]
-        l_target, _ = evaluator.majority_label(origin)
-        noise = rng.standard_normal((cfg.n_noise, x_current.shape[0])) * (
-            cfg.noise_std_factor * np.sqrt(bound))
-        noised = origin + np.clip(x_current + noise - origin, -bound, bound)
-        noised_passes = [model_forward(adv.model, row[None, :])
-                         for row in noised]
-        noised_out = np.vstack([out for out, _ in noised_passes])
-        send("2", adv.id, "C", "local_output", noised_out)
-
-        solved = False
-        for _ in range(cfg.n_inner):
-            # Step 3: coordinator picks one benign row, returns outputs and
-            # cut-layer gradients for every noised variant.
-            index_b = int(rng.integers(evaluator.n))
-            jt = evaluator.join(noised_out, j=index_b, batched=True)
-            branch, _ = coordinator_backward(system, jt, spread_grad(jt.probs))
-            send("3", "C", adv.id, "joint_output", jt.probs)
-            send("3", "C", adv.id, "gradient_wrt_local_output", branch[0])
-            for part, g in zip(system.participants[1:], branch[1:]):
-                send("3", "C", part.id, "gradient_wrt_local_output", g)
-
-            # Step 4: adversary reports its highest saliency score; benign
-            # side reports its original scores.
-            adv_grads = [model_backward(adv.model, trace, g[None, :],
-                                        with_params=False)[1]
-                         for (_, trace), g in zip(noised_passes, branch[0])]
-            adv_scores = [float(np.abs(ig).sum()) for ig in adv_grads]
-            best_idx = int(np.argmax(adv_scores))
-            score_orig_a = adv_scores[best_idx]
-            send("4", adv.id, "C", "saliency_score", [score_orig_a])
-            per_benign = benign_scores(index_b, [g[best_idx] for g in branch[1:]])
-            for pid, score in per_benign:
-                send("4", pid, "C", "saliency_score", [score])
-            score_orig_b = sum(s for _, s in per_benign)
-
-            # Step 5: coordinator computes the attack-success rate.
-            orig_acc = evaluator.attack_accuracy(noised[best_idx], l_target)
-            send("5", "C", adv.id, "attack_success_rate", [orig_acc])
-
-            # Step 6: adversary masks its best variant and resubmits.
-            best_row = noised[best_idx]
-            mask = np.abs(adv_grads[best_idx][0])
-            peak = mask.max()
-            if peak > 0:
-                mask = mask / peak
-            masked = best_row + cfg.mask_weight * mask * np.sqrt(bound)
-            masked = origin + np.clip(masked - origin, -bound, bound)
-            masked_local, masked_trace = model_forward(adv.model, masked[None, :])
-            send("6", adv.id, "C", "local_output", masked_local)
-
-            # Step 7: coordinator returns output, gradients, masked ASR.
-            jt = evaluator.join(masked_local, j=index_b, batched=True)
-            branch_m, _ = coordinator_backward(system, jt,
-                                               spread_grad(jt.probs))
-            masked_acc = evaluator.attack_accuracy(masked, l_target)
-            send("7", "C", adv.id, "attack_success_rate", [masked_acc])
-            send("7", "C", adv.id, "gradient_wrt_local_output", branch_m[0])
-            for part, g in zip(system.participants[1:], branch_m[1:]):
-                send("7", "C", part.id, "gradient_wrt_local_output", g)
-
-            # Step 8: both sides report masked saliency scores.
-            _, ig = model_backward(adv.model, masked_trace,
-                                   branch_m[0][0][None, :], with_params=False)
-            score_masked_a = float(np.abs(ig).sum())
-            send("8", adv.id, "C", "saliency_score", [score_masked_a])
-            per_benign_m = benign_scores(index_b, [g[0] for g in branch_m[1:]])
-            for pid, score in per_benign_m:
-                send("8", pid, "C", "saliency_score", [score])
-            score_masked_b = sum(s for _, s in per_benign_m)
-
-            # Step 9: coordinator publishes the masked/original score ratios.
-            ratio_a = score_masked_a / max(score_orig_a, 1e-12)
-            ratio_b = score_masked_b / max(score_orig_b, 1e-12)
-            send("9", "C", adv.id, "saliency_ratio", [ratio_a, ratio_b])
-            ratio_log.append({
-                "outer": outer, "index_a": index_a,
-                "score_orig_a": score_orig_a, "score_masked_a": score_masked_a,
-                "score_orig_b": score_orig_b, "score_masked_b": score_masked_b,
-                "ratio_a": ratio_a, "ratio_b": ratio_b,
-            })
-
-            # Step 10: keep the masked retry when it helps; emit on success.
-            if masked_acc > orig_acc and ratio_a > ratio_b:
-                store[index_a] = masked
-            if masked_acc > cfg.threshold:
-                found.append(AdiCandidate(origin.copy(), masked - origin,
-                                          l_target, float(masked_acc), outer,
-                                          "bounded", "greybox",
-                                          provenance="cooperative-fuzz"))
-                pending.remove(index_a)
-                solved = True
-                break
-            # Step 11: repeat from step 3.
-        if solved:
-            continue
-        # Step 12: move on to the next candidate (repeat from step 2).
-
-    raw = {part.id: view for part, view in
-           zip(system.participants[1:], evaluator.benign_views)}
-    raw[adv.id] = corpus
-    violations = audit_trace(messages, raw)
-    if violations:
-        raise AuditError("; ".join(violations))
-    return CooperationResult(found, messages, ratio_log)

@@ -520,7 +520,7 @@ def audit_trace(messages: list[ProtocolMessage],
     return violations
 
 
-def run_with_trace(system: VFLSystem, views, audit: bool = True):
+def run_with_trace(system: VFLSystem, views):
     """Joint inference with an explicit message trace (extract/aggregate/return).
 
     The trace is audited against the very views used, so raw benign features
@@ -538,11 +538,10 @@ def run_with_trace(system: VFLSystem, views, audit: bool = True):
     for part in system.participants:
         messages.append(ProtocolMessage("6", "C", part.id, "joint_prediction",
                                         jt.probs.size, jt.probs))
-    if audit:
-        raw = {part.id: view for part, view in zip(system.participants, views)}
-        violations = audit_trace(messages, raw)
-        if violations:
-            raise AuditError("; ".join(violations))
+    raw = {part.id: view for part, view in zip(system.participants, views)}
+    violations = audit_trace(messages, raw)
+    if violations:
+        raise AuditError("; ".join(violations))
     return jt.probs, messages
 
 

@@ -72,7 +72,6 @@ class SynthesisConfig:
     inner_steps: int = 10
     inner_lr: float | None = None     # default 0.05 random / 0.01 bounded
     fdm_step: float = 1e-3            # blackbox finite-difference step
-    hvp_step: float = 1e-5            # step for saliency-gradient estimation
 
     def __post_init__(self):
         if self.strategy not in ("random", "bounded"):
@@ -82,7 +81,7 @@ class SynthesisConfig:
         _require(self, ("max_rounds", "inner_steps"),
                  lambda v: _is_integer(v) and v >= 0, "a non-negative integer")
         _require(self, ("alpha", "beta", "gamma", "momentum", "threshold",
-                        "fdm_step", "hvp_step"), _is_finite_real,
+                        "fdm_step"), _is_finite_real,
                  "a finite number")
         _require(self, ("inner_lr",),
                  lambda v: v is None or _is_finite_real(v) and v > 0,
@@ -93,8 +92,8 @@ class SynthesisConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
-        if self.fdm_step <= 0 or self.hvp_step <= 0:
-            raise ValueError("difference steps must be positive")
+        if self.fdm_step <= 0:
+            raise ValueError("fdm_step must be positive")
         self.bound = _as_bound(self.bound)
         if self.strategy == "bounded" and self.bound is None:
             raise ValueError("bounded strategy requires a mutation bound")
@@ -220,8 +219,9 @@ class JointEvaluator:
     passes are the batched pass over all fixed rows, run at construction,
     and each fixed row's own single-row pass, run on first use (rows sliced
     from the batched outputs can differ from it in the last bits). ``join``
-    pairs a varying output with either. ``adv_index`` selects which
-    participant varies (default: the first, the adversary-side party).
+    pairs a varying output with either: all fixed rows, or row ``j``.
+    ``adv_index`` selects which participant varies (default: the first, the
+    adversary-side party).
     ``memo`` holds values that callers derive from the fixed rows; it lives
     exactly as long as the evaluator.
     """
@@ -253,16 +253,11 @@ class JointEvaluator:
                 for m, v in zip(self._models, self.benign_views)]
         return passes
 
-    def join(self, out, trace=None, j: int | None = None,
-             batched: bool = False) -> _JointTrace:
+    def join(self, out, trace=None, j: int | None = None) -> _JointTrace:
         """Joint trace of the varying party's local output ``out`` (with its
-        ``trace``, to backpropagate into it) and ``fixed(j)``. With
-        ``batched``, fixed row ``j`` is row ``j`` of the batched outputs, as
-        the fixed parties ship them to the coordinator, with no trace. The
-        caller checks ``out``."""
-        passes = self.fixed(None if batched else j)
-        if batched:
-            passes = [(o[j:j + 1], None) for o, _ in passes]
+        ``trace``, to backpropagate into it) and ``fixed(j)``. The caller
+        checks ``out``."""
+        passes = self.fixed(j)
         i = self.adv_index
         return _joint_trace(self.system,
                             passes[:i] + [(out, trace)] + passes[i:])
@@ -396,6 +391,9 @@ def saliency_est_fdm(x_adv, system: VFLSystem, benign_rows,
 # silently zero the finite-difference gradients the blackbox mode relies on.
 _CE_FLOOR = 1e-300
 
+# Step of the central difference that estimates the saliency term's gradient.
+_HVP_STEP = 1e-5
+
 
 def _target_logit_grad(probs: np.ndarray, l_target) -> np.ndarray:
     """Gradient of the targeted loss on the pre-activation scores.
@@ -445,7 +443,7 @@ class _Objective:
         flat = np.all(flat_dir == 0, axis=-1)
         if np.all(flat):
             return np.zeros_like(x_adv)
-        h = self.cfg.hvp_step
+        h = _HVP_STEP
         offset = 0
         plus, minus = [], []
         for row in self.rows:

@@ -126,9 +126,12 @@ def gmm_log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
     return float(_log_mixture(gmm.weights, gmm.means, gmm.covs, data)[1].sum())
 
 
-def fit_gmm_em(data, k: int, max_iters: int = 200, tol: float = 1e-7,
+def fit_gmm_em(data, k: int, max_iters: int = 200,
                seed: int = 0) -> tuple[Gmm, list[float]]:
     """Expectation-maximization fit; returns (mixture, log-likelihood trace).
+
+    Stops after ``max_iters`` steps, or once the log-likelihood moves by less
+    than 1e-7 of its magnitude (plus one).
 
     Component covariances are floored at COV_FLOOR * I, so degenerate
     (near-Dirac) clusters stay numerically usable rather than erroring.
@@ -164,7 +167,7 @@ def fit_gmm_em(data, k: int, max_iters: int = 200, tol: float = 1e-7,
             cov = (resp[:, j][:, None] * diff).T @ diff / mass[j]
             covs[j] = 0.5 * (cov + cov.T) + floor
 
-        if len(history) > 1 and abs(history[-1] - history[-2]) < tol * (
+        if len(history) > 1 and abs(history[-1] - history[-2]) < 1e-7 * (
                 1.0 + abs(history[-2])):
             break
 
@@ -225,8 +228,7 @@ def relu_moments(sm: ScalarMixture) -> tuple[float, float, float]:
     return float(p), float(m1), float(m2)
 
 
-def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact",
-                          clamp: bool = True) -> float:
+def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact") -> float:
     """Output variance of a scalar ReLU unit fed by the mixture.
 
     method="exact" evaluates Var(relu(Y)) = E[Y^2 1(Y>0)] - E[Y 1(Y>0)]^2
@@ -234,12 +236,12 @@ def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact",
     the same quantity from per-component truncated-normal moments
     (P(Y>0) = sum w_k Phi(r_k), E[Y|Y>0] = sum w_k (mu_k + sigma_k h_k),
     Var(Y|Y>0) = sum w_k^2 sigma_k^2 (1 - r_k h_k - h_k^2) with
-    h = phi/Phi); the two coincide for a single component.
+    h = phi/Phi); the two coincide for a single component. Either can dip
+    slightly below zero, so the result is clamped at 0.
     """
     if method == "exact":
         _, m1, m2 = relu_moments(sm)
-        raw = m2 - m1 * m1
-        return max(raw, 0.0) if clamp else raw
+        return max(m2 - m1 * m1, 0.0)
     if method != "per_component":
         raise ValueError(f"unknown method {method!r}")
     p_pos = 0.0
@@ -256,8 +258,7 @@ def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact",
         p_pos += w * std_normal_cdf(r)
         e_cond += w * (mu + sig * h)
         v_cond += w * w * sig * sig * (1.0 - r * h - h * h)
-    raw = p_pos * (v_cond + e_cond * e_cond * (1.0 - p_pos))
-    return max(raw, 0.0) if clamp else raw
+    return max(p_pos * (v_cond + e_cond * e_cond * (1.0 - p_pos)), 0.0)
 
 
 def sample_scalar_mixture(sm: ScalarMixture, n: int,

@@ -431,3 +431,19 @@ def test_sweep_trains_with_the_configured_momentum(tmp_path, monkeypatch,
     code, _ = _run(tmp_path, doc, "sweep")
     assert code == 0
     assert seen == [want]
+
+
+def test_three_parties_train_synthesize_and_fuzz(tmp_path):
+    # The benign sample holds two parties' columns; fuzz and synthesize must
+    # both give each benign party its own view of it.
+    doc = {**DIGITS, "partition": {"kind": "image_columns", "image_side": 28,
+                                   "participants": 3},
+           "fuzz": {"corpus": "sample:2", "max_iter": 2, "energy": 2,
+                    "bound_multiplier": 3.0}}
+    code, out = _run(tmp_path, doc, "train")
+    assert code == 0
+    ckpt = str(out / "checkpoint.json")
+    for command in ("synthesize", "fuzz"):
+        code, out = _run(tmp_path, doc, command, "--checkpoint", ckpt)
+        assert code == 0, command
+    assert len(_jsonl(out / "campaign_log.jsonl")) == 2

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from vflkit.fuzzer import (CampaignConfig, CooperationConfig, FuzzSeed,
-                           SaliencyCalibration, calibrate_saliency,
-                           compute_mask, fuzz_campaign, is_adi,
-                           mutate_saliency_aware, participant_saliency_l1,
-                           reduce_saliency, run_cooperative_session,
+from vflkit.fuzzer import (CampaignConfig, FuzzSeed, SaliencyCalibration,
+                           calibrate_saliency, compute_mask, fuzz_campaign,
+                           is_adi, mutate_saliency_aware,
+                           participant_saliency_l1, reduce_saliency,
                            saliency_score)
 from vflkit.model import LayerSpec, LocalModel
 from vflkit.protocol import (Coordinator, Participant, VFLSystem,
@@ -413,51 +412,6 @@ class TestCampaign:
                           [credit_setup["test_views"][1]], calib)
 
 
-class TestCooperativeSession:
-    def _run(self, credit_setup, n_outer=1, n_inner=1, n_corpus=2, seed=0):
-        system = credit_setup["system"]
-        test_views = credit_setup["test_views"]
-        bound = default_bound(credit_setup["train_views"][0])
-        corpus = test_views[0][:n_corpus]
-        cfg = CooperationConfig(n_noise=4, n_inner=n_inner, n_outer=n_outer,
-                                bound=bound, seed=seed)
-        return run_cooperative_session(system, corpus,
-                                       [test_views[1][:12]], cfg)
-
-    def test_single_outer_iteration_step_order(self, credit_setup):
-        result = self._run(credit_setup, n_outer=1, n_inner=1, n_corpus=1)
-        steps = [m.step for m in result.messages]
-        # step 1 appears first; 2..9 in order exactly once
-        assert steps[0] == "1"
-        core = [s for s in steps if s != "1"]
-        assert [s for s in core if s in "23456789"] == \
-            ["2", "3", "3", "3", "4", "4", "5", "6", "7", "7", "7", "8", "8",
-             "9"]
-
-    def test_benign_payload_kinds_restricted(self, credit_setup):
-        result = self._run(credit_setup, n_outer=3, n_inner=2)
-        benign_ids = {"B1"}
-        kinds = {m.payload_kind for m in result.messages
-                 if m.sender in benign_ids}
-        assert kinds <= {"local_output", "saliency_score"}
-
-    def test_ratio_log_recomputation(self, credit_setup):
-        result = self._run(credit_setup, n_outer=2, n_inner=2)
-        for entry in result.ratio_log:
-            assert entry["ratio_a"] == pytest.approx(
-                entry["score_masked_a"] / max(entry["score_orig_a"], 1e-12))
-            assert entry["ratio_b"] == pytest.approx(
-                entry["score_masked_b"] / max(entry["score_orig_b"], 1e-12))
-
-    def test_found_candidates_dominate_sample(self, credit_setup):
-        system = credit_setup["system"]
-        result = self._run(credit_setup, n_outer=12, n_inner=4, n_corpus=6,
-                           seed=2)
-        for cand in result.found:
-            assert cand.accuracy > 0.95
-            assert cand.provenance == "cooperative-fuzz"
-
-
 class TestCampaignConfig:
     @pytest.mark.parametrize("key, value", [
         ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0),
@@ -495,23 +449,3 @@ class TestCampaignConfig:
             cfg = CampaignConfig(mask_weight=mask_weight,
                                  stable_fraction=stable_fraction)
             assert cfg.mask_weight == mask_weight
-
-
-class TestCooperationConfig:
-    @pytest.mark.parametrize("key, value", [
-        ("n_noise", 0), ("n_noise", 2.0), ("n_inner", 2.5), ("n_inner", True),
-        ("n_outer", -1), ("n_outer", "3"), ("mask_weight", -3),
-        ("mask_weight", 1.5), ("mask_weight", float("nan")),
-        ("noise_std_factor", -0.1), ("noise_std_factor", float("inf")),
-        ("threshold", 1.5), ("threshold", 0.0), ("threshold", "0.9"),
-        ("bound", [1.0, 0.0]), ("bound", [1.0, float("nan")])])
-    def test_bad_value_rejected(self, key, value):
-        with pytest.raises(ValueError, match=key if key != "bound" else
-                           "bound|finite"):
-            CooperationConfig(**{key: value})
-
-    def test_edge_values_accepted(self):
-        cfg = CooperationConfig(n_noise=np.int64(1), n_inner=1, n_outer=1,
-                                mask_weight=0, noise_std_factor=0,
-                                threshold=1.0, bound=[0.5, 2.0])
-        assert cfg.n_noise == 1 and cfg.bound.tolist() == [0.5, 2.0]

@@ -1,28 +1,23 @@
 """One joint-evaluation core: every joint inference goes through it.
 
-The cooperative session, ``JointEvaluator`` and the fuzzer's benign
-saliency score all pair adversary outputs with benign outputs through
-``protocol._joint_trace``. These tests pin what those paths produce: the
-cooperative session's whole transcript against a golden, the evaluator's
-probabilities against the coordinator's pass in party order, and the
-fuzzer's benign score against its full-system formula.
+``JointEvaluator`` and the fuzzer's benign saliency score both pair
+adversary outputs with benign outputs through ``protocol._joint_trace``.
+These tests pin what those paths produce: the evaluator's probabilities
+against the coordinator's pass in party order, and the fuzzer's benign
+score against its full-system formula. Benign views of different lengths
+are rejected at every entry point.
 """
-import json
-
 import numpy as np
 import pytest
 
-import golden
 from test_synthesis import three_party_splitnn
-from vflkit.fuzzer import (CampaignConfig, CooperationConfig,
-                           SaliencyCalibration, calibrate_saliency,
-                           fuzz_campaign, participant_saliency_l1,
-                           run_cooperative_session, _benign_mean_score)
+from vflkit.fuzzer import (CampaignConfig, SaliencyCalibration,
+                           calibrate_saliency, fuzz_campaign,
+                           participant_saliency_l1, _benign_mean_score)
 from vflkit.model import LayerSpec, LocalModel, forward
 from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              _coordinator_forward)
-from vflkit.synthesis import (JointEvaluator, SynthesisConfig, adi_generate,
-                              default_bound)
+from vflkit.synthesis import JointEvaluator, SynthesisConfig, adi_generate
 
 
 def three_party_heterolr():
@@ -40,47 +35,6 @@ def three_party_heterolr():
     system = VFLSystem(parts, Coordinator("heterolr", bias=np.array([0.3])),
                        2)
     return system, [rng.standard_normal((200, w)) for w in widths]
-
-
-def _session_record(result) -> dict:
-    """The session's whole transcript: each message's route, kind and size
-    with its payload's values, then the ratio log and the candidates.
-
-    Values, not hashes of their bytes: the trained systems' last bits
-    depend on the BLAS kernel, and the golden must hold on every kernel.
-    The byte identity of the joins lives in the oracle tests below.
-    """
-    messages = [[f"{m.step} {m.sender} {m.receiver} {m.payload_kind} "
-                 f"{m.payload_size}",
-                 [] if m.payload is None else m.payload.ravel()]
-                for m in result.messages]
-    return {"messages": messages, "ratio_log": result.ratio_log,
-            "found": [json.loads(cand.to_json()) for cand in result.found]}
-
-
-class TestCooperativeSessionGolden:
-    """Recorded before the session ran on ``JointEvaluator``."""
-
-    def test_credit(self, credit_setup):
-        views = credit_setup["test_views"]
-        cfg = CooperationConfig(
-            n_noise=3, n_inner=2, n_outer=4,
-            bound=default_bound(credit_setup["train_views"][0]), seed=2)
-        result = run_cooperative_session(credit_setup["system"], views[0][:3],
-                                         [views[1][:8]], cfg)
-        assert result.found
-        golden.check("joint_core", "cooperative_credit",
-                     _session_record(result))
-
-    def test_three_party_digits(self):
-        system, views = three_party_splitnn()
-        cfg = CooperationConfig(n_noise=3, n_inner=2, n_outer=4,
-                                bound=default_bound(views[0], 20.0), seed=1)
-        result = run_cooperative_session(system, views[0][100:103],
-                                         [views[1][:4], views[2][:4]], cfg)
-        assert result.found
-        golden.check("joint_core", "cooperative_digits_3_party",
-                     _session_record(result))
 
 
 class TestBenignRowCount:
@@ -112,12 +66,6 @@ class TestBenignRowCount:
             fuzz_campaign(corpus, system, benign, cfg,
                           [view[:5] for view in benign], calib)
 
-    def test_cooperative_session(self):
-        system, corpus, benign = self._ragged()
-        cfg = CooperationConfig(n_outer=1, bound=np.ones(4))
-        with pytest.raises(ValueError, match="row count"):
-            run_cooperative_session(system, corpus, benign, cfg)
-
 
 class TestPartyOrder:
     def test_probs_for_is_the_coordinator_pass_in_party_order(self):
@@ -132,23 +80,6 @@ class TestPartyOrder:
             out = np.repeat(forward(adv, x[None, :])[0], 200, axis=0)
             probs, _ = _coordinator_forward(system, [out] + benign)
             assert evaluator.probs_for(x).tobytes() == probs.tobytes()
-
-    def test_batched_row_join_is_the_tiled_pass(self, credit_setup,
-                                                digits_setup):
-        # The cooperative session's join: several adversary rows against
-        # one row of the batched benign outputs, which it used to tile.
-        systems = [(s["system"], s["test_views"])
-                   for s in (credit_setup, digits_setup)]
-        systems += [three_party_splitnn(), three_party_heterolr()]
-        for system, views in systems:
-            evaluator = JointEvaluator(system, [v[:6] for v in views[1:]])
-            adv_out = forward(system.participants[0].model, views[0][:4])[0]
-            for j in range(6):
-                tiled = [adv_out] + [np.tile(out[j:j + 1], (4, 1))
-                                     for out, _ in evaluator.fixed()]
-                probs, _ = _coordinator_forward(system, tiled)
-                jt = evaluator.join(adv_out, j=j, batched=True)
-                assert jt.probs.tobytes() == probs.tobytes()
 
 
 def _old_benign_mean_score(system, x_adv, s_views, calibration):

@@ -435,7 +435,7 @@ class TestClosedFormSaliency:
         cfg = SynthesisConfig()
         for system, x_a, x_b, exact, theta_a, k in self._cases(credit_setup):
             got = _Whitebox(system, [x_b], 0, cfg).saliency_grad(x_a)
-            # A central difference with step h = hvp_step = 1e-5 of
+            # A central difference with step h = _HVP_STEP = 1e-5 of
             # q = p(1-p) along the benign direction: truncation
             # (h^2/6) k^3 max|q'''| |theta_A| ~ 1e-10 |theta_A| for k ~ 4, and
             # rounding about eps/h ~ 2e-11 |theta_A|. The bound is ~100x both.
