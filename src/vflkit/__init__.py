@@ -8,20 +8,19 @@ the analytic output-variance formulas against Monte-Carlo estimates.
 
 from .data import (Dataset, PartitionSpec, TinyDataset, load_csv, load_idx,
                    mnist_column_split, normalize, partition_vertical,
-                   ratio_split, sample_tiny, synth_gmm_dataset,
-                   train_test_split)
+                   ratio_split, sample_tiny, train_test_split)
 from .model import (LayerSpec, LocalModel, SgdMomentum, backward, forward,
-                    grad_check, init_model, load_model, save_model)
+                    grad_check, init_model)
 from .protocol import (Coordinator, Participant, ProtocolMessage, VFLSystem,
-                       evaluate, joint_inference, load_system, local_output,
-                       run_with_trace, save_system, train_heterolr,
-                       train_linear_joint, train_splitnn)
+                       evaluate, joint_inference, load_system, run_with_trace,
+                       save_system, train_heterolr, train_linear_joint,
+                       train_splitnn)
 from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                         adi_generate, attack_accuracy, default_bound,
-                        output_spread, saliency_est, saliency_est_fdm)
+                        saliency_est, saliency_est_fdm)
 from .fuzzer import (CampaignConfig, FuzzSeed, SaliencyCalibration,
                      calibrate_saliency, compute_mask, fuzz_campaign, is_adi,
-                     mutate_saliency_aware, reduce_saliency, saliency_score)
+                     mutate_saliency_aware, reduce_saliency)
 from .variance import (Gmm, ScalarMixture, bounded_existence_check,
                        fit_gmm_em, heterolr_variance, project_mixture,
                        splitnn_unit_variance, variance_monte_carlo)

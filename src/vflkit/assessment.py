@@ -137,7 +137,7 @@ class PerturbationStudy:
 
 def build_perturbation_matrix(system: VFLSystem, benign_rows, x_adv_star,
                               cfg: SynthesisConfig,
-                              l_target: int | None = None) -> PerturbationStudy:
+                              l_target: int) -> PerturbationStudy:
     """One single-benign-row synthesis pass per column, unit-normalized.
 
     Column i is the mutation found against benign row i alone; zero columns
@@ -148,9 +148,6 @@ def build_perturbation_matrix(system: VFLSystem, benign_rows, x_adv_star,
     if h < 2:
         raise ValueError("need at least two benign rows")
     base = as_vector(x_adv_star)
-    if l_target is None:
-        probe = JointEvaluator(system, benign_views)
-        l_target, _ = probe.majority_label(base)
     cols = []
     raw = []
     dropped = 0

@@ -25,6 +25,7 @@ from .data import (Dataset, PartitionSpec, _test_mask, image_column_partition,
                    load_csv, load_idx, mnist_column_split, normalize,
                    ratio_split, sample_tiny, split_views)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
+from .model import _is_finite_real
 from .protocol import (evaluate, load_system, save_system,
                        splitnn_architecture, train_heterolr,
                        train_linear_joint, train_splitnn)
@@ -369,13 +370,18 @@ def cmd_synthesize(cfg: dict, args) -> int:
 
 def cmd_fuzz(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     # What is left after the run's own keys are CampaignConfig fields.
     fz = dict(_read(cfg, "fuzz"))
     corpus_spec = fz.pop("corpus")
     mult = fz.pop("bound_multiplier")
     budget_mins = fz.pop("budget_mins", None)
-    budget_mins = getattr(args, "budget_mins", None) or budget_mins
+    if getattr(args, "budget_mins", None) is not None:
+        budget_mins = args.budget_mins
+    if budget_mins is not None and not (_is_finite_real(budget_mins)
+                                        and budget_mins > 0):
+        raise ConfigError("fuzz: budget_mins must be finite and > 0, "
+                          f"got {budget_mins!r}")
+    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     if isinstance(corpus_spec, str) and corpus_spec.startswith("sample:"):
         corpus = _sample_rows(rng, adv_test, int(corpus_spec.split(":", 1)[1]))
     elif isinstance(corpus_spec, list):
@@ -386,8 +392,7 @@ def cmd_fuzz(cfg: dict, args) -> int:
     try:
         camp = CampaignConfig(
             **fz, bound=default_bound(train_views[0], mult),
-            budget_secs=None if budget_mins is None
-            else 60.0 * float(budget_mins),
+            budget_secs=None if budget_mins is None else 60.0 * budget_mins,
             seed=cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fuzz: {exc}") from None
@@ -521,10 +526,12 @@ def cmd_sweep(cfg: dict, args) -> int:
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     n_dom, n_synth = _count(sweep, "n_dominance"), _count(sweep, "n_synth")
+    # Only SplitNN cells have the layers of the model section.
+    model = _read(cfg, "model") if _read(cfg, "protocol") == "splitnn" else {}
     report = assessment.ExperimentReport(
         "partition-ratio-sweep" if kind == "ratio" else "participants-sweep",
         {listed: list(sweep[listed]), "n_dominance": n_dom, "n_synth": n_synth,
-         "train": {**_read(cfg, "model"), **_read(cfg, "train")}},
+         "train": {**model, **_read(cfg, "train")}},
         columns, seed=cfg["seed"])
     ds, test_mask = _split(cfg)
     for value, partition in cells:

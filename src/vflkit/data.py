@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import as_matrix, as_vector
+from .model import as_matrix
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -252,32 +252,6 @@ def sample_tiny(view: np.ndarray, h: int, seed: int) -> TinyDataset:
     return TinyDataset(view[idx], [int(i) for i in idx])
 
 
-def synth_gmm_dataset(weights, means, covs, n: int, seed: int) -> Dataset:
-    """Sample a labeled dataset from mixture components (labels = component)."""
-    weights = as_vector(weights)
-    if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("component weights must be positive and sum to 1")
-    means = as_matrix(means)
-    covs = np.asarray(covs, dtype=np.float64)
-    k, d = means.shape
-    if covs.shape != (k, d, d):
-        raise ValueError(f"covariances must be {(k, d, d)}, got {covs.shape}")
-    chols = []
-    for cov in covs:
-        try:
-            chols.append(np.linalg.cholesky(cov + 1e-12 * np.eye(d)))
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive semi-definite") from None
-    rng = np.random.default_rng(seed)
-    comps = rng.choice(k, size=n, p=weights)
-    noise = rng.standard_normal((n, d))
-    features = np.empty((n, d))
-    for j in range(k):
-        mask = comps == j
-        features[mask] = means[j] + noise[mask] @ chols[j].T
-    return Dataset(features, comps, [f"x{i:02d}" for i in range(d)])
-
-
 def normalize(ds: Dataset) -> Dataset:
     """Z-score features; constant columns map to zero with a floored std.
 
@@ -291,13 +265,6 @@ def normalize(ds: Dataset) -> Dataset:
     features = ds.features - mean
     features /= std
     return replace(ds, features=features, norm_stats=(mean, std))
-
-
-def inverse_normalize(ds: Dataset) -> Dataset:
-    if ds.norm_stats is None:
-        raise ValueError("dataset carries no normalization stats")
-    mean, std = ds.norm_stats
-    return replace(ds, features=ds.features * std + mean, norm_stats=None)
 
 
 def _test_mask(labels: np.ndarray, test_fraction: float,

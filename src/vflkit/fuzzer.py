@@ -44,7 +44,7 @@ class CampaignConfig:
     stable_fraction: float = 1.0
     bound: np.ndarray | None = None
     noise_std_factor: float = 0.1   # noise std = factor * sqrt(bound)
-    thresholds: tuple[float, float] = (0.95, 0.99)
+    threshold: float = 0.95         # full-view accuracy an ADI must reach
     budget_secs: float | None = None
     seed: int = 0
 
@@ -55,12 +55,9 @@ class CampaignConfig:
                  lambda v: _is_finite_real(v) and v >= 0, "finite and >= 0")
         _require(self, ("budget_secs",), lambda v: v is None or (
             _is_finite_real(v) and v > 0), "None or finite and > 0")
-        _require(self, ("thresholds",), lambda t: len(t) == 2 and all(
-            map(_is_finite_real, t)) and 0 < t[0] <= t[1] <= 1,
-                 "(low, high) with 0 < low <= high <= 1")
         _require(self, ("mask_weight",),
                  lambda v: _is_finite_real(v) and 0 <= v <= 1, "in [0, 1]")
-        _require(self, ("stable_fraction",),
+        _require(self, ("stable_fraction", "threshold"),
                  lambda v: _is_finite_real(v) and 0 < v <= 1, "in (0, 1]")
         self.bound = _as_bound(self.bound)
 
@@ -86,18 +83,6 @@ def calibrate_saliency(system: VFLSystem, train_views) -> SaliencyCalibration:
         scale = float(np.percentile(col, 99.0))
         scales[part.id] = max(scale, 1e-12)
     return SaliencyCalibration(scales)
-
-
-def saliency_score(system: VFLSystem, views, participant_id: str,
-                   calibration: SaliencyCalibration | None) -> np.ndarray:
-    """Clamped [0, 1] saliency scores for one participant, one per row."""
-    if calibration is None or participant_id not in calibration.scales:
-        raise ValueError(
-            "missing saliency calibration; run calibrate_saliency on the "
-            "training views first")
-    idx = [p.id for p in system.participants].index(participant_id)
-    norms = participant_saliency_l1(system, views)[:, idx]
-    return np.clip(norms / calibration.scales[participant_id], 0.0, 1.0)
 
 
 def _target_mask(system: VFLSystem, jt: _JointTrace, idx: int,
@@ -241,9 +226,9 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
 
     Each popped seed gets a fixed energy of mutations. Mutants that pin the
     hidden benign sample to the seed's target are verified against the full
-    benign test view and recorded when they reach the low dominating
-    threshold; mutants that merely reduce the benign saliency score re-enter
-    the queue. Deterministic given (corpus, system, sample, config).
+    benign test view and recorded when they reach ``cfg.threshold``; mutants
+    that merely reduce the benign saliency score re-enter the queue.
+    Deterministic given (corpus, system, sample, config).
 
     Each lineage's origin row is made once and is read-only; every candidate
     of that lineage holds this one array as its ``base``.
@@ -273,7 +258,6 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
         origins.append(origin)
         queue.append(FuzzSeed(row.copy(), label, score, lineage, origin))
 
-    low = cfg.thresholds[0]
     result = FuzzResult(adis=[])
     for iteration in range(cfg.max_iter):
         if not queue:
@@ -292,7 +276,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
             if is_adi(x_new, sample_eval, seed.target, system,
                       cfg.stable_fraction):
                 r_full = full_eval.attack_accuracy(x_new, seed.target)
-                if r_full >= low:
+                if r_full >= cfg.threshold:
                     cand = AdiCandidate(origins[seed.lineage_id],
                                         x_new - seed.origin, seed.target,
                                         float(r_full), iteration + 1,

@@ -18,7 +18,6 @@ package built itself and keep only the contiguity copy and shape checks.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -400,13 +399,3 @@ def model_from_dict(doc: dict) -> LocalModel:
         layers.append(LayerSpec(entry["kind"], entry["in"], entry["out"],
                                 entry.get("weights"), entry.get("bias")))
     return LocalModel(layers)
-
-
-def save_model(model: LocalModel, path, protocol: str = "local"):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_dict(model, protocol), sort_keys=True))
-
-
-def load_model(path) -> LocalModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -6,8 +6,9 @@ linear score model and the coordinator applies a sigmoid (binary) or softmax
 In the split protocol each participant runs a local network and the
 coordinator's top model consumes the concatenated local outputs.
 
-Intermediate payloads travel as plaintext here; the privacy contract is
-enforced by an audit over traced messages instead of encryption.
+Intermediate payloads travel as plaintext, and training and the attacks
+do not check what crosses a party boundary. Only ``run_with_trace`` records
+one joint inference's messages and audits them for raw benign features.
 
 The coordinator's passes, like the local models' (see ``model``), also take
 (..., m, k) stacks of local outputs; they join and split them on the last
@@ -189,10 +190,6 @@ def joint_forward(system: VFLSystem, views) -> _JointTrace:
 def joint_inference(system: VFLSystem, views) -> np.ndarray:
     """Class probabilities: (n, 1) sigmoid output or (n, C) softmax rows."""
     return joint_forward(system, views).probs
-
-
-def local_output(participant: Participant, view) -> np.ndarray:
-    return forward(participant.model, view)[0]
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:

@@ -150,16 +150,9 @@ def read_candidates(path) -> list[AdiCandidate]:
         return [AdiCandidate.from_json(line) for line in fh if line.strip()]
 
 
-def output_spread(output) -> float:
-    """Spread of one joint output: component variance, or the scalar itself
-    for one-dimensional outputs."""
-    out = np.asarray(output, dtype=np.float64).ravel()
-    if out.size == 0:
-        raise ValueError("empty output")
-    return float(_spread_rows(out[None, :])[0])
-
-
 def _spread_rows(probs: np.ndarray) -> np.ndarray:
+    """Each row's spread: component variance, or the scalar itself for
+    one-dimensional outputs."""
     if probs.shape[1] == 1:
         return probs[:, 0]
     return np.var(probs, axis=1)

@@ -278,20 +278,13 @@ def sample_gmm(gmm: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def variance_monte_carlo(scalar_fn, source, n: int, seed: int = 0) -> float:
-    """Unbiased sample variance of scalar_fn over n draws from source.
-
-    source may be a ScalarMixture, a Gmm, or a callable (n, rng) -> draws.
-    """
+def variance_monte_carlo(scalar_fn, source: ScalarMixture, n: int,
+                         seed: int = 0) -> float:
+    """Unbiased sample variance of scalar_fn over n draws from the scalar
+    mixture ``source``."""
     if n < 2:
         raise ValueError("need at least two draws")
-    rng = np.random.default_rng(seed)
-    if isinstance(source, ScalarMixture):
-        draws = sample_scalar_mixture(source, n, rng)
-    elif isinstance(source, Gmm):
-        draws = sample_gmm(source, n, rng)
-    else:
-        draws = source(n, rng)
+    draws = sample_scalar_mixture(source, n, np.random.default_rng(seed))
     values = np.asarray(scalar_fn(draws), dtype=np.float64).ravel()
     if values.shape[0] != n:
         raise ValueError("scalar_fn must return one value per draw")

@@ -14,7 +14,9 @@ import pytest
 import golden
 from vflkit import cli, synth_data
 from vflkit.data import PartitionSpec, partition_vertical
-from vflkit.protocol import train_splitnn
+from vflkit.protocol import load_system, train_splitnn
+from vflkit.variance import (fit_gmm_em, heterolr_variance, project_mixture,
+                             splitnn_unit_variance)
 
 CREDIT = {
     "seed": 0,
@@ -329,6 +331,14 @@ class TestExitCodes:
         code, _ = _run(tmp_path, doc, "fuzz", "--checkpoint", str(credit_ckpt))
         self._fails(capsys, code, 1, "config error: fuzz:")
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_budget_flag(self, tmp_path, capsys, credit_ckpt, value):
+        # The flag overrides the config key, a false value such as 0 too.
+        doc = {**CREDIT, "fuzz": {**CREDIT["fuzz"], "budget_mins": 10}}
+        code, _ = _run(tmp_path, doc, "fuzz", "--checkpoint", str(credit_ckpt),
+                       "--budget-mins", value)
+        self._fails(capsys, code, 1, "config error: fuzz: budget_mins must")
+
     @pytest.mark.parametrize("key, value", [
         ("inner_steps", 1.5), ("inner_steps", "3"), ("inner_steps", None),
         ("inner_steps", True), ("max_rounds", "3"), ("max_rounds", -1),
@@ -396,6 +406,77 @@ class TestBadConfigValues:
         assert code == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+
+class TestDataDrivenVariance:
+    """Without a fixture, ``vflkit variance`` projects a mixture fitted to
+    the benign test view onto a binary HeteroLR checkpoint's scores."""
+
+    def test_analytic_values_of_the_projected_mixture(self, tmp_path,
+                                                      credit_ckpt):
+        doc = {**CREDIT, "variance": {"n_mc": 200}}
+        code, out = _run(tmp_path, doc, "variance",
+                         "--checkpoint", str(credit_ckpt))
+        assert code == 0
+        _, test_views, _, _, _, _ = cli._prepared(doc)
+        system = load_system(credit_ckpt)
+        gmm, _ = fit_gmm_em(test_views[1], 1, seed=0)
+        theta_a, theta_b = (p.model.layers[0].weights[0]
+                            for p in system.participants)
+        offset = float(theta_a @ test_views[0][0] + system.coordinator.bias[0])
+        sm = project_mixture(gmm, theta_b, offset)
+        rows = _report(out, "variance")["rows"]
+        assert [r["analytic"] for r in rows] == \
+            [heterolr_variance(sm), splitnn_unit_variance(sm)]
+
+    def test_splitnn_checkpoint_needs_a_fixture(self, tmp_path, capsys,
+                                                digits_ckpt):
+        doc = {**DIGITS, "variance": {"n_mc": 200}}
+        code, _ = _run(tmp_path, doc, "variance",
+                       "--checkpoint", str(digits_ckpt))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "binary heterolr" in err
+
+
+class TestSeedPrecedence:
+    """``--seed`` beats ``VFLKIT_SEED``, which beats the config's seed."""
+
+    @pytest.mark.parametrize("env, flags, want", [
+        (None, (), 3), ("5", (), 5), ("5", ("--seed", "7"), 7),
+        (None, ("--seed", "7"), 7)])
+    def test_report_seed(self, tmp_path, monkeypatch, env, flags, want):
+        if env is None:
+            monkeypatch.delenv("VFLKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VFLKIT_SEED", env)
+        doc = {"seed": 3, "variance": {"n_mc": 2000, "fixture": _FIXTURE}}
+        code, out = _run(tmp_path, doc, "variance", *flags)
+        assert code == 0
+        assert _report(out, "variance")["seed"] == want
+
+    def test_flag_writes_the_config_seed_bytes(self, tmp_path, monkeypatch,
+                                               credit_ckpt):
+        monkeypatch.delenv("VFLKIT_SEED", raising=False)
+        ckpt = ("--checkpoint", str(credit_ckpt))
+        written = {}
+        for name, doc, flags in (("flag", CREDIT, ("--seed", "4")),
+                                 ("key", {**CREDIT, "seed": 4}, ()),
+                                 ("zero", CREDIT, ())):
+            (tmp_path / name).mkdir()
+            code, out = _run(tmp_path / name, doc, "synthesize", *ckpt, *flags)
+            assert code == 0
+            written[name] = (out / "candidates.jsonl").read_bytes()
+        assert written["flag"] == written["key"] != written["zero"]
+
+    def test_non_integer_env_seed_exits_one(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("VFLKIT_SEED", "abc")
+        doc = {"seed": 3, "variance": {"n_mc": 2000, "fixture": _FIXTURE}}
+        code, _ = _run(tmp_path, doc, "variance")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: VFLKIT_SEED")
 
 
 def test_variance_runs_with_scipy_blocked(tmp_path):

@@ -3,7 +3,7 @@
 ``protocol._average_ranks`` stands in for ``scipy.stats.rankdata`` so that
 importing the package does not load ``scipy.stats``; ``_segment_intensity``
 renders digits on separate x and y planes instead of an (n, m, 2) stack; the
-checkpoint writers encode the whole document at once. Each is compared with
+checkpoint writer encodes the whole document at once. Each is compared with
 its old form through ``tobytes()`` or the written text, never with a stored
 hash: the rendered bytes depend on the ``exp`` kernel numpy dispatches to.
 """
@@ -21,7 +21,6 @@ from scipy.stats import rankdata
 
 import vflkit
 from vflkit import synth_data
-from vflkit.model import init_model, load_model, model_to_dict, save_model
 from vflkit.protocol import (auc_roc, load_system, save_system,
                              system_to_dict, _average_ranks)
 
@@ -151,14 +150,3 @@ class TestCheckpointText:
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(system_to_dict(system), sort_keys=True)
             assert system_to_dict(load_system(path)) == system_to_dict(system)
-
-    @pytest.mark.parametrize("protocol", ["local", "splitnn"])
-    def test_model_file_is_sorted_dumps(self, tmp_path, protocol):
-        model = init_model([5, 4, 3], "relu", head="softmax", seed=2)
-        path = tmp_path / "model.json"
-        save_model(model, path, protocol)
-        text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(model_to_dict(model, protocol),
-                                  sort_keys=True)
-        assert model_to_dict(load_model(path), protocol) == \
-            model_to_dict(model, protocol)

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vflkit import synth_data
-from vflkit.data import (Dataset, PartitionSpec, concat_views,
-                         image_column_partition, inverse_normalize, load_csv,
+from vflkit.data import (Dataset, PartitionSpec, concat_views, load_csv,
                          load_idx, mnist_column_split, normalize,
                          partition_vertical, ratio_split, sample_tiny,
-                         synth_gmm_dataset, train_test_split, write_idx)
+                         train_test_split, write_idx)
 
 
 def write_small_csv(path, header, rows):
@@ -238,40 +237,6 @@ class TestTinySample:
             sample_tiny(np.zeros((5, 1)), 6, seed=0)
 
 
-class TestGmmSampling:
-    def test_single_tight_component(self):
-        mu = np.array([[2.0, -1.0]])
-        ds = synth_gmm_dataset([1.0], mu, np.zeros((1, 2, 2)), 50, seed=0)
-        assert np.abs(ds.features - mu).max() < 1e-4
-
-    def test_two_separated_components_lln(self):
-        # Law-of-large-numbers oracle: empirical means within 3 sigma/sqrt(n).
-        means = np.array([[-5.0], [5.0]])
-        covs = np.stack([np.eye(1), np.eye(1)])
-        ds = synth_gmm_dataset([0.5, 0.5], means, covs, 20000, seed=1)
-        for j, mu in enumerate(means):
-            rows = ds.features[ds.labels == j]
-            bound = 3.0 / np.sqrt(rows.shape[0])
-            assert abs(rows.mean() - mu[0]) < bound
-
-    def test_component_counts_binomial(self):
-        w = [0.7, 0.3]
-        ds = synth_gmm_dataset(w, np.zeros((2, 1)),
-                               np.stack([np.eye(1)] * 2), 10000, seed=2)
-        n1 = int((ds.labels == 0).sum())
-        sigma = np.sqrt(10000 * 0.7 * 0.3)
-        assert abs(n1 - 7000) < 4 * sigma
-
-    def test_non_psd_rejected(self):
-        with pytest.raises(ValueError, match="positive semi-definite"):
-            synth_gmm_dataset([1.0], [[0.0]], [[[-1.0]]], 10, seed=0)
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            synth_gmm_dataset([0.5, 0.4], np.zeros((2, 1)),
-                              np.stack([np.eye(1)] * 2), 10, seed=0)
-
-
 class TestNormalize:
     def test_constant_feature_floored(self):
         ds = Dataset(np.array([[1.0, 5.0], [2.0, 5.0]]), [0, 1], ["a", "b"])
@@ -288,8 +253,9 @@ class TestNormalize:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((40, 3)) * [1.0, 10.0, 0.01] + [5, -2, 0]
         ds = Dataset(x, np.zeros(40, dtype=int), list("abc"))
-        back = inverse_normalize(normalize(ds))
-        np.testing.assert_allclose(back.features, x, atol=1e-10)
+        out = normalize(ds)
+        mean, std = out.norm_stats
+        np.testing.assert_allclose(out.features * std + mean, x, atol=1e-10)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

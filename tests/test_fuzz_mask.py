@@ -69,7 +69,7 @@ def reference_campaign(corpus, system, s_benign, cfg, test_benign_views,
             if is_adi(x_new, sample_eval, seed.target, system,
                       cfg.stable_fraction):
                 r_full = full_eval.attack_accuracy(x_new, seed.target)
-                if r_full >= cfg.thresholds[0]:
+                if r_full >= cfg.threshold:
                     adis.append(AdiCandidate(
                         seed.origin.copy(), x_new - seed.origin, seed.target,
                         float(r_full), iteration + 1, "bounded", "greybox",

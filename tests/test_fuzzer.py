@@ -4,8 +4,7 @@ import pytest
 from vflkit.fuzzer import (CampaignConfig, FuzzSeed, SaliencyCalibration,
                            calibrate_saliency, compute_mask, fuzz_campaign,
                            is_adi, mutate_saliency_aware,
-                           participant_saliency_l1, reduce_saliency,
-                           saliency_score)
+                           participant_saliency_l1, reduce_saliency)
 from vflkit.model import LayerSpec, LocalModel
 from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              joint_forward, predicted_labels,
@@ -63,26 +62,6 @@ class TestMask:
 
 
 class TestSaliencyScore:
-    def test_missing_calibration_errors(self, toy_logistic_system):
-        views = [np.ones((1, 1)), np.ones((1, 1))]
-        with pytest.raises(ValueError, match="calibration"):
-            saliency_score(toy_logistic_system, views, "B1", None)
-
-    def test_zero_weight_participant_scores_zero(self):
-        system = toy_logistic(theta_b=0.0)
-        calib = SaliencyCalibration({"A": 1.0, "B1": 1.0})
-        views = [np.ones((3, 1)), np.ones((3, 1))]
-        np.testing.assert_array_equal(
-            saliency_score(system, views, "B1", calib), [0.0, 0.0, 0.0])
-
-    def test_calibration_row_clamps_to_one(self, credit_setup):
-        system = credit_setup["system"]
-        train_views = credit_setup["train_views"]
-        calib = calibrate_saliency(system, train_views)
-        scores = saliency_score(system, train_views, "B1", calib)
-        assert scores.max() == 1.0
-        assert np.mean(scores >= 1.0) <= 0.02  # 99th-percentile scale
-
     def test_monotone_in_weight_scale(self):
         # Doubling the benign weights cannot lower the pre-clamp score.
         base = diag_linear_system([[1.0]], [[0.5, 0.25]])
@@ -355,6 +334,12 @@ class TestCampaign:
         # With no time budget every popped seed gets exactly `energy` mutations.
         assert res.n_mutations == res.n_iterations * cfg.energy
 
+    def test_spent_budget_stops_before_the_first_iteration(self,
+                                                           credit_setup):
+        res = fuzz_campaign(*self._setup(credit_setup, budget_secs=1e-9))
+        assert (res.n_iterations, res.n_mutations) == (0, 0)
+        assert res.adis == [] and res.log == []
+
     def test_deterministic_replay(self, credit_setup):
         args = self._setup(credit_setup)
         a = fuzz_campaign(*args)
@@ -420,9 +405,8 @@ class TestCampaignConfig:
         ("noise_std_factor", -0.1), ("noise_std_factor", "0.1"),
         ("budget_secs", 0), ("budget_secs", -60.0),
         ("budget_secs", float("nan")), ("budget_secs", float("inf")),
-        ("thresholds", (0.0, 0.99)), ("thresholds", (0.99, 0.95)),
-        ("thresholds", (0.95, 1.5)), ("thresholds", (float("nan"), 0.99)),
-        ("thresholds", (0.95,))])
+        ("threshold", 0), ("threshold", 1.5), ("threshold", float("nan")),
+        ("threshold", "0.9")])
     def test_bad_value_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             CampaignConfig(**{key: value})
@@ -430,8 +414,9 @@ class TestCampaignConfig:
     def test_edge_values_accepted(self):
         cfg = CampaignConfig(max_iter=np.int64(1), energy=1,
                              noise_std_factor=0, budget_secs=0.5,
-                             thresholds=(1.0, 1.0))
+                             threshold=1.0)
         assert cfg.max_iter == 1 and cfg.budget_secs == 0.5
+        assert cfg.threshold == 1.0
 
     @pytest.mark.parametrize("key, value", [
         ("mask_weight", "a"), ("mask_weight", None), ("mask_weight", True),

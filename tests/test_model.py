@@ -8,9 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from vflkit.model import (GradCheckReport, LayerSpec, LocalModel, SgdMomentum,
                           as_matrix, backward, forward, grad_check,
-                          identity_model, init_model, load_model,
-                          model_from_dict, model_to_dict, save_model,
-                          _sigmoid)
+                          identity_model, init_model, model_from_dict,
+                          model_to_dict, _sigmoid)
+from vflkit.protocol import (Coordinator, Participant, VFLSystem, load_system,
+                             save_system)
 
 
 def linear_model(weights, bias=None):
@@ -238,12 +239,20 @@ class TestSgd:
             SgdMomentum(lr=0.1, momentum=1.0)
 
 
+def checkpoint_round_trip(model, path):
+    """``model`` as the one party of a SplitNN system, written and read back
+    through the CLI's checkpoint."""
+    part = Participant("A", list(range(model.input_dim)), model)
+    top = identity_model(model.output_dim)
+    save_system(VFLSystem([part], Coordinator("splitnn", top_model=top), 2),
+                path)
+    return load_system(path).participants[0].model
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = init_model([3, 4, 2], "relu", head="softmax", seed=11)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = checkpoint_round_trip(model, tmp_path / "system.json")
         for a, b in zip(model.layers, loaded.layers):
             assert a.kind == b.kind
             if a.kind == "linear":
@@ -261,9 +270,8 @@ class TestCheckpoint:
         # Awkward values: many significant digits.
         w = np.array([[np.pi, 1.0 / 3.0], [1e-17, 123456789.123456789]])
         model = linear_model(w)
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        assert load_model(path).layers[0].weights.tobytes() == w.tobytes()
+        loaded = checkpoint_round_trip(model, tmp_path / "system.json")
+        assert loaded.layers[0].weights.tobytes() == w.tobytes()
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from vflkit.model import LayerSpec, LocalModel, forward
+from vflkit.model import LayerSpec, LocalModel
 from vflkit.protocol import (AuditError, Coordinator, Participant,
                              ProtocolMessage, VFLSystem, audit_trace, auc_roc,
                              coordinator_backward, evaluate, joint_backward,
-                             joint_forward, joint_inference, local_output,
+                             joint_forward, joint_inference,
                              party_input_grads, predicted_labels,
                              run_with_trace, save_system,
                              load_system, system_from_dict, system_to_dict,
@@ -129,12 +129,6 @@ class TestJointInference:
         ref = np.exp(logits - logits.max(axis=1, keepdims=True))
         ref /= ref.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(joint, ref, atol=1e-12)
-
-    def test_local_output_matches_forward(self, credit_setup):
-        part = credit_setup["system"].participants[0]
-        x = credit_setup["test_views"][0][:5]
-        np.testing.assert_array_equal(local_output(part, x),
-                                      forward(part.model, x)[0])
 
     def test_sample_permutation_equivariance(self, digits_setup):
         system = digits_setup["system"]

@@ -78,6 +78,12 @@ def test_tabular_ratio_cells_match_separate_runs(tmp_path):
         [(r, {"kind": "ratio", "ratio": r}) for r in (0.5, 2.0)])
 
 
+def test_heterolr_sweep_report_lists_no_splitnn_layers(tmp_path):
+    code, out = _run(tmp_path, CREDIT_SWEEP, "sweep")
+    assert code == 0
+    assert _report(out, "sweep-ratio")["config"]["train"] == CREDIT["train"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("test_fraction", 0.3), ("split_seed", 2), ("tiny_size", 3),
     ("tiny_seed", 6)])

@@ -9,7 +9,7 @@ from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              train_splitnn)
 from vflkit.synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
                               adi_generate, attack_accuracy, default_bound,
-                              fdm_gradient, output_spread, read_candidates,
+                              fdm_gradient, read_candidates,
                               saliency_est, saliency_est_fdm, spread_grad,
                               write_candidates, _Blackbox, _inner_minimize,
                               _loss_rows, _Objective, _spread_rows,
@@ -26,21 +26,17 @@ def toy_logistic(theta_a=1.0, theta_b=1.0, bias=0.0):
 
 class TestOutputSpread:
     def test_uniform_softmax_is_zero(self):
-        assert output_spread(np.full(10, 0.1)) == pytest.approx(0.0)
+        assert _spread_rows(np.full((1, 10), 0.1))[0] == pytest.approx(0.0)
 
     def test_one_hot_variance(self):
         # Hand variance of {1, 0, ..., 0}: (C-1)/C^2.
         for c in (2, 5, 10):
-            one_hot = np.zeros(c)
-            one_hot[0] = 1.0
-            assert output_spread(one_hot) == pytest.approx((c - 1) / c ** 2)
+            one_hot = np.zeros((1, c))
+            one_hot[0, 0] = 1.0
+            assert _spread_rows(one_hot)[0] == pytest.approx((c - 1) / c ** 2)
 
     def test_scalar_convention(self):
-        assert output_spread([0.73]) == 0.73
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            output_spread([])
+        assert _spread_rows(np.array([[0.73]]))[0] == 0.73
 
 
 class TestSaliency:
