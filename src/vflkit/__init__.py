@@ -11,13 +11,12 @@ from .data import (Dataset, PartitionSpec, TinyDataset, load_csv, load_idx,
                    ratio_split, sample_tiny, train_test_split)
 from .model import (LayerSpec, LocalModel, SgdMomentum, backward, forward,
                     grad_check, init_model)
-from .protocol import (Coordinator, Participant, ProtocolMessage, VFLSystem,
-                       evaluate, joint_inference, load_system, run_with_trace,
-                       save_system, train_heterolr, train_linear_joint,
-                       train_splitnn)
+from .protocol import (Coordinator, Participant, VFLSystem, evaluate,
+                       joint_inference, load_system, save_system,
+                       train_heterolr, train_linear_joint, train_splitnn)
 from .synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
-                        adi_generate, attack_accuracy, default_bound,
-                        saliency_est, saliency_est_fdm)
+                        adi_generate, default_bound, saliency_est,
+                        saliency_est_fdm)
 from .fuzzer import (CampaignConfig, FuzzSeed, SaliencyCalibration,
                      calibrate_saliency, compute_mask, fuzz_campaign, is_adi,
                      mutate_saliency_aware, reduce_saliency)

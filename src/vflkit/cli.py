@@ -25,7 +25,7 @@ from .data import (Dataset, PartitionSpec, _test_mask, image_column_partition,
                    load_csv, load_idx, mnist_column_split, normalize,
                    ratio_split, sample_tiny, split_views)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
-from .model import _is_finite_real
+from .model import _is_finite_real, _is_integer
 from .protocol import (evaluate, load_system, save_system,
                        splitnn_architecture, train_heterolr,
                        train_linear_joint, train_splitnn)
@@ -456,17 +456,20 @@ def cmd_variance(cfg: dict, args) -> int:
 
 
 def cmd_svd(cfg: dict, args) -> int:
+    svd_cfg = _read(cfg, "svd")
+    h = _setting(svd_cfg, "h", lambda v: v >= 2, "an integer >= 2")
+    ks = _setting(svd_cfg, "ks", lambda v: v and all(
+        _is_integer(k) and k >= 1 for k in v),
+        "a nonempty list of positive integers", list)
+    offset = _setting(svd_cfg, "target_offset", lambda v: True, "an integer")
     out = _out_dir(cfg)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
-    svd_cfg = _read(cfg, "svd")
-    h = svd_cfg["h"]
-    ks = svd_cfg["ks"]
     scfg = _synthesis_config(cfg, args, train_views[0])
     rows = _sample_rows(rng, np.concatenate(benign, axis=1), h)
     x_star = adv_test[int(rng.integers(adv_test.shape[0]))]
     ev = JointEvaluator(system, benign)
     majority, _ = ev.majority_label(x_star)
-    target = (majority + svd_cfg["target_offset"]) % system.n_classes
+    target = (majority + offset) % system.n_classes
     study = assessment.build_perturbation_matrix(system, rows, x_star, scfg,
                                                  l_target=target)
     spectrum = assessment.singular_spectrum(study.matrix)
@@ -476,7 +479,7 @@ def cmd_svd(cfg: dict, args) -> int:
         "svd", {"h": h, "ks": ks, "target": int(target)},
         ["k", "reconstruction_rate"], seed=cfg["seed"])
     for k in ks:
-        k = min(int(k), study.matrix.shape[1])
+        k = min(k, study.matrix.shape[1])
         rate = assessment.reconstruct_and_rate(study, k, system, benign)
         report.rows.append({"k": k, "reconstruction_rate": rate})
     _write_report(out, "svd", report)

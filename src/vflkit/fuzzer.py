@@ -6,6 +6,11 @@ input-saliency map and is willing to share. Mutated inputs that strictly
 shrink the benign score are kept for further mutation; inputs that pin the
 joint prediction across the hidden benign sample are emitted as dominating
 inputs and re-verified against the full benign test view.
+
+The adversary receives the joint labels, one calibrated saliency scalar per
+benign party and the gradient at its own local output, and nothing of the
+benign features; ``tests/test_fuzz_privacy.py`` checks this on the campaign
+that runs.
 """
 from __future__ import annotations
 

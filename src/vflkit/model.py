@@ -189,12 +189,18 @@ def _layer_backward(layer: LayerSpec, x: np.ndarray, grad_out: np.ndarray,
         return grad_in, _linear_param_grads(x, grad_out)
     if layer.kind == "relu":
         return grad_out * (x > 0), None
-    if layer.kind == "sigmoid":
-        y = _sigmoid(x)
-        return grad_out * y * (1.0 - y), None
-    y = _softmax(x)
-    dot = (grad_out * y).sum(axis=-1, keepdims=True)
-    return y * (grad_out - dot), None
+    y = _sigmoid(x) if layer.kind == "sigmoid" else _softmax(x)
+    return _activation_grad(layer.kind, y, grad_out), None
+
+
+def _activation_grad(kind: str, y: np.ndarray,
+                     grad: np.ndarray) -> np.ndarray:
+    """Gradient at the input of a sigmoid or softmax ``kind`` of layer,
+    from its output ``y`` and the gradient ``grad`` at that output."""
+    if kind == "sigmoid":
+        return grad * y * (1.0 - y)
+    dot = (grad * y).sum(axis=-1, keepdims=True)
+    return y * (grad - dot)
 
 
 def backward(model: LocalModel, trace: ForwardTrace, grad_output,

@@ -1,4 +1,4 @@
-"""Two-to-m-participant VFL simulation: training, joint inference, tracing.
+"""Two-to-m-participant VFL simulation: training and joint inference.
 
 Two protocols are modeled. In the logistic protocol each participant holds a
 linear score model and the coordinator applies a sigmoid (binary) or softmax
@@ -7,8 +7,7 @@ In the split protocol each participant runs a local network and the
 coordinator's top model consumes the concatenated local outputs.
 
 Intermediate payloads travel as plaintext, and training and the attacks
-do not check what crosses a party boundary. Only ``run_with_trace`` records
-one joint inference's messages and audits them for raw benign features.
+do not check what crosses a party boundary.
 
 The coordinator's passes, like the local models' (see ``model``), also take
 (..., m, k) stacks of local outputs; they join and split them on the last
@@ -43,14 +42,11 @@ import numpy as np
 
 from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
-                    model_from_dict, model_to_dict, _backward, _forward,
-                    _is_finite_real, _is_integer, _sigmoid, _softmax)
+                    model_from_dict, model_to_dict, _activation_grad,
+                    _backward, _forward, _is_finite_real, _is_integer,
+                    _sigmoid, _softmax)
 
 SYSTEM_CHECKPOINT_VERSION = 1
-
-
-class AuditError(RuntimeError):
-    """Raised when a traced payload leaks raw benign features."""
 
 
 @dataclass
@@ -82,22 +78,6 @@ class Coordinator:
                 raise ValueError("split coordinator needs a top model")
         else:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-
-
-@dataclass
-class ProtocolMessage:
-    step: str
-    sender: str
-    receiver: str
-    payload_kind: str
-    payload_size: int
-    payload: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "step": self.step, "sender": self.sender, "receiver": self.receiver,
-            "payload_kind": self.payload_kind, "payload_size": self.payload_size,
-        }, sort_keys=True)
 
 
 @dataclass
@@ -202,14 +182,6 @@ def _labels(probs: np.ndarray) -> np.ndarray:
     return probs.argmax(axis=1)
 
 
-def _activation_backward(probs: np.ndarray, grad_probs: np.ndarray,
-                         scalar: bool) -> np.ndarray:
-    if scalar:
-        return grad_probs * probs * (1.0 - probs)
-    dot = (grad_probs * probs).sum(axis=-1, keepdims=True)
-    return probs * (grad_probs - dot)
-
-
 def coordinator_backward(system: VFLSystem, jt: _JointTrace, grad_probs,
                          from_logits: bool = False, with_params: bool = False):
     """Gradient at the local-output boundary: what the coordinator can send
@@ -228,8 +200,8 @@ def _coordinator_backward(system: VFLSystem, jt: _JointTrace, grad: np.ndarray,
                           from_logits: bool = False, with_params: bool = False):
     coord = system.coordinator
     if coord.kind == "heterolr":
-        grad_score = grad if from_logits else _activation_backward(
-            jt.probs, grad, scalar=system.output_dim == 1)
+        grad_score = grad if from_logits else _activation_grad(
+            "sigmoid" if system.output_dim == 1 else "softmax", jt.probs, grad)
         coord_grad = grad_score.sum(axis=0) if with_params else None
         branch_grads = [grad_score] * len(system.participants)
         return branch_grads, coord_grad
@@ -471,81 +443,6 @@ def evaluate(system: VFLSystem, views, labels) -> dict:
     if probs.shape[1] == 1 and set(np.unique(labels)) <= {0, 1}:
         metrics["auc_roc"] = auc_roc(probs[:, 0], labels)
     return metrics
-
-
-def audit_trace(messages: list[ProtocolMessage],
-                raw_features: dict[str, np.ndarray]) -> list[str]:
-    """Raw-feature leak check over a message trace.
-
-    ``raw_features`` maps participant id to that participant's raw feature
-    rows. A violation is a payload delivered to a *participant* that carries
-    a raw row of some other participant, or an explicitly raw-feature-tagged
-    payload anywhere. Derived values flowing to the coordinator are exempt
-    from content matching: degenerate local models (identity maps) can emit
-    outputs numerically equal to their own inputs without leaking anything
-    across a participant boundary.
-    """
-    row_sets = {
-        pid: {row.tobytes() for row in as_matrix(rows)}
-        for pid, rows in raw_features.items()
-    }
-    violations = []
-    for i, msg in enumerate(messages):
-        if msg.payload_kind == "raw_features":
-            violations.append(f"message {i}: explicit raw feature payload "
-                              f"{msg.sender}->{msg.receiver}")
-            continue
-        if msg.payload is None or msg.receiver not in row_sets:
-            continue
-        payload = np.asarray(msg.payload, dtype=np.float64)
-        if payload.ndim == 1:
-            payload = payload[None, :]
-        if payload.ndim != 2:
-            continue
-        for pid, rows in row_sets.items():
-            if pid == msg.receiver or not rows:
-                continue
-            width = len(next(iter(rows))) // 8
-            if payload.shape[1] != width:
-                continue
-            for row in payload:
-                if row.tobytes() in rows:
-                    violations.append(
-                        f"message {i}: raw features of {pid} in "
-                        f"{msg.sender}->{msg.receiver} payload ({msg.payload_kind})")
-                    break
-    return violations
-
-
-def run_with_trace(system: VFLSystem, views):
-    """Joint inference with an explicit message trace (extract/aggregate/return).
-
-    The trace is audited against the very views used, so raw benign features
-    crossing a participant boundary raise AuditError.
-    """
-    views = _check_views(system, views)
-    n = views[0].shape[0]
-    messages = []
-    for part in system.participants:
-        messages.append(ProtocolMessage("4", "C", part.id, "row_index", n))
-    jt = joint_forward(system, views)
-    for part, out in zip(system.participants, jt.local_outputs):
-        messages.append(ProtocolMessage("5", part.id, "C", "local_output",
-                                        out.size, out))
-    for part in system.participants:
-        messages.append(ProtocolMessage("6", "C", part.id, "joint_prediction",
-                                        jt.probs.size, jt.probs))
-    raw = {part.id: view for part, view in zip(system.participants, views)}
-    violations = audit_trace(messages, raw)
-    if violations:
-        raise AuditError("; ".join(violations))
-    return jt.probs, messages
-
-
-def write_trace_log(messages: list[ProtocolMessage], path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for msg in messages:
-            fh.write(msg.to_json() + "\n")
 
 
 def system_to_dict(system: VFLSystem) -> dict:

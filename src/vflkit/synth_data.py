@@ -26,8 +26,6 @@ VEHICLE_D = 18
 VEHICLE_CLASSES = 4
 
 DIGITS_SIDE = 28
-DIGITS_N_TRAIN = 60_000
-DIGITS_N_TEST = 10_000
 
 MULTIMODAL_D_IMAGE = 634
 MULTIMODAL_D_TEXT = 1000

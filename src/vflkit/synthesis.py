@@ -287,12 +287,6 @@ def _evaluator(system: VFLSystem, benign) -> JointEvaluator:
     return benign
 
 
-def attack_accuracy(x_adv, system: VFLSystem, l_target: int,
-                    benign_views) -> float:
-    """Share of benign test rows forced to l_target when paired with x_adv."""
-    return JointEvaluator(system, benign_views).attack_accuracy(x_adv, l_target)
-
-
 def default_bound(train_view_adv, multiplier: float = 1.0) -> np.ndarray:
     """Per-feature mutation bound: the feature's variance in training data."""
     view = as_matrix(train_view_adv)

@@ -408,6 +408,28 @@ class TestBadConfigValues:
         assert "Traceback" not in err
 
 
+class TestSvdSettings:
+    """A bad ``svd.h``, ``svd.ks`` or ``svd.target_offset`` exits 1 with a
+    config error naming the key, before any data is loaded."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("h", 1), ("h", 2.5), ("h", True), ("ks", [0]), ("ks", [1, "a"]),
+        ("ks", [2.0]), ("ks", [True]), ("ks", []), ("ks", 3),
+        ("target_offset", "a"), ("target_offset", 1.5)])
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                      key, value):
+        loaded = []
+        monkeypatch.setattr(cli, "_load_dataset", loaded.append)
+        doc = {**DIGITS, "svd": {**DIGITS["svd"], key: value}}
+        code, _ = _run(tmp_path, doc, "svd", "--checkpoint",
+                       str(tmp_path / "checkpoint.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: svd: {key} must be")
+        assert repr(value) in err
+        assert not loaded
+
+
 class TestDataDrivenVariance:
     """Without a fixture, ``vflkit variance`` projects a mixture fitted to
     the benign test view onto a binary HeteroLR checkpoint's scores."""

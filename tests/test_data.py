@@ -126,10 +126,6 @@ class TestIdxLoader:
         # 8-bit quantization on write: within half a level.
         assert np.abs(loaded.features - ds.features).max() <= 0.5 / 255
 
-    def test_default_generation_sizes(self):
-        assert synth_data.DIGITS_N_TRAIN == 60_000
-        assert synth_data.DIGITS_N_TEST == 10_000
-
 
 class TestPartition:
     def test_spec_validation(self):

@@ -10,7 +10,7 @@ from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              joint_forward, predicted_labels,
                              train_linear_joint)
 from vflkit.synthesis import JointEvaluator, SynthesisConfig, adi_generate, \
-    attack_accuracy, default_bound
+    default_bound
 
 
 def toy_logistic(theta_a=1.0, theta_b=1.0, bias=0.0):
@@ -356,7 +356,8 @@ class TestCampaign:
         _, system, _, _, full_views, _ = args
         assert res.adis
         for cand in res.adis:
-            r = attack_accuracy(cand.input, system, cand.target, full_views)
+            r = JointEvaluator(system, full_views).attack_accuracy(
+                cand.input, cand.target)
             assert r >= 0.95
             assert cand.provenance == "fuzz"
 
@@ -374,8 +375,8 @@ class TestCampaign:
         assert a.log == b.log
         assert [c.to_json() for c in a.adis] == [c.to_json() for c in b.adis]
         for cand in a.adis:
-            assert attack_accuracy(cand.input, system, cand.target,
-                                   [test_views[1]]) == cand.accuracy
+            assert JointEvaluator(system, [test_views[1]]).attack_accuracy(
+                cand.input, cand.target) == cand.accuracy
 
     def test_system_first_order_rejected(self, credit_setup):
         corpus, system, *rest = self._setup(credit_setup)

@@ -64,13 +64,6 @@ TEST_ONLY = {
     "model.GradCheckReport": "reference: grad_check's result",
     "model.grad_check": "reference: finite differences for backward",
     "model.identity_model": "fixture",
-    "protocol.AuditError": "ROADMAP item 12",
-    "protocol.ProtocolMessage": "ROADMAP item 12",
-    "protocol.audit_trace": "ROADMAP item 12",
-    "protocol.run_with_trace": "ROADMAP item 12",
-    "protocol.write_trace_log": "ROADMAP item 12",
-    "synth_data.DIGITS_N_TEST": "reference: MNIST's test split size",
-    "synth_data.DIGITS_N_TRAIN": "reference: MNIST's train split size",
     "synthesis.read_candidates": "fixture: reads what write_candidates writes",
     "synthesis.saliency_est": "reference for the whitebox saliency step",
     "synthesis.saliency_est_fdm": "reference for the blackbox saliency step",

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from vflkit.model import LayerSpec, LocalModel
-from vflkit.protocol import (AuditError, Coordinator, Participant,
-                             ProtocolMessage, VFLSystem, audit_trace, auc_roc,
+from vflkit.protocol import (Coordinator, Participant, VFLSystem, auc_roc,
                              coordinator_backward, evaluate, joint_backward,
                              joint_forward, joint_inference,
-                             party_input_grads, predicted_labels,
-                             run_with_trace, save_system,
+                             party_input_grads, predicted_labels, save_system,
                              load_system, system_from_dict, system_to_dict,
                              train_heterolr, train_linear_joint,
-                             train_splitnn, write_trace_log)
+                             train_splitnn)
 
 
 def make_logistic(theta_a, theta_b, bias=0.0):
@@ -217,54 +215,6 @@ class TestEvaluate:
     def test_predicted_labels_conventions(self):
         assert predicted_labels(np.array([[0.6], [0.4]])).tolist() == [1, 0]
         assert predicted_labels(np.array([[0.1, 0.7, 0.2]])).tolist() == [1]
-
-
-class TestTraceAndAudit:
-    def test_two_party_trace_shape(self, toy_logistic_system):
-        probs, messages = run_with_trace(
-            toy_logistic_system, [np.ones((4, 1)), np.ones((4, 1))])
-        by_step = {}
-        for msg in messages:
-            by_step.setdefault(msg.step, []).append(msg)
-        # one local-output upload per participant, one broadcast each
-        assert len(by_step["5"]) == 2
-        assert all(m.payload_kind == "local_output" for m in by_step["5"])
-        assert len(by_step["6"]) == 2
-        assert all(m.payload_kind == "joint_prediction" for m in by_step["6"])
-
-    def test_audit_passes_on_honest_trace(self, credit_setup):
-        views = [v[:30] for v in credit_setup["test_views"]]
-        probs, messages = run_with_trace(credit_setup["system"], views)
-        raw = {p.id: v for p, v in
-               zip(credit_setup["system"].participants, views)}
-        assert audit_trace(messages, raw) == []
-
-    def test_audit_flags_injected_raw_features(self, credit_setup):
-        views = [v[:10] for v in credit_setup["test_views"]]
-        _, messages = run_with_trace(credit_setup["system"], views)
-        # Test double: benign participant's raw rows leak to the adversary.
-        messages.append(ProtocolMessage("5", "B1", "A", "local_output",
-                                        views[1].size, views[1].copy()))
-        raw = {p.id: v for p, v in
-               zip(credit_setup["system"].participants, views)}
-        violations = audit_trace(messages, raw)
-        assert violations and "raw features of B1" in violations[0]
-
-    def test_audit_flags_explicit_kind(self):
-        msgs = [ProtocolMessage("5", "B1", "C", "raw_features", 4,
-                                np.ones((1, 4)))]
-        assert audit_trace(msgs, {}) != []
-
-    def test_trace_log_is_json_lines(self, toy_logistic_system, tmp_path):
-        _, messages = run_with_trace(toy_logistic_system,
-                                     [np.ones((2, 1)), np.ones((2, 1))])
-        path = tmp_path / "trace.jsonl"
-        write_trace_log(messages, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(messages)
-        doc = json.loads(lines[0])
-        assert {"step", "sender", "receiver", "payload_kind",
-                "payload_size"} <= set(doc)
 
 
 class TestSystemCheckpoint:

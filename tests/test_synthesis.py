@@ -8,7 +8,7 @@ from vflkit.protocol import (Coordinator, Participant, VFLSystem,
                              joint_backward, joint_forward, joint_inference,
                              train_splitnn)
 from vflkit.synthesis import (AdiCandidate, JointEvaluator, SynthesisConfig,
-                              adi_generate, attack_accuracy, default_bound,
+                              adi_generate, default_bound,
                               fdm_gradient, read_candidates,
                               saliency_est, saliency_est_fdm, spread_grad,
                               write_candidates, _Blackbox, _inner_minimize,
@@ -130,8 +130,9 @@ class TestAttackAccuracy:
     def test_constant_system(self):
         system = toy_logistic(theta_a=0.0, theta_b=0.0, bias=5.0)
         rows = np.random.default_rng(0).standard_normal((30, 1))
-        assert attack_accuracy([0.0], system, 1, [rows]) == 1.0
-        assert attack_accuracy([0.0], system, 0, [rows]) == 0.0
+        ev = JointEvaluator(system, [rows])
+        assert ev.attack_accuracy([0.0], 1) == 1.0
+        assert ev.attack_accuracy([0.0], 0) == 0.0
 
     def test_four_row_enumeration(self):
         # Brute-force oracle: sigma(x_a + x_b) >= 0.5 iff x_a + x_b >= 0.
@@ -139,15 +140,16 @@ class TestAttackAccuracy:
         rows = np.array([[-2.0], [-0.5], [0.5], [2.0]])
         x_a = 1.0
         expected = np.mean([x_a + v >= 0 for v in rows[:, 0]])
-        assert attack_accuracy([x_a], system, 1, [rows]) == expected
+        assert JointEvaluator(system, [rows]).attack_accuracy(
+            [x_a], 1) == expected
 
     def test_permutation_invariance(self, digits_setup):
         system = digits_setup["system"]
         rows = digits_setup["test_views"][1][:50]
         x_a = digits_setup["test_views"][0][0]
         perm = np.random.default_rng(1).permutation(50)
-        a = attack_accuracy(x_a, system, 3, [rows])
-        b = attack_accuracy(x_a, system, 3, [rows[perm]])
+        a = JointEvaluator(system, [rows]).attack_accuracy(x_a, 3)
+        b = JointEvaluator(system, [rows[perm]]).attack_accuracy(x_a, 3)
         assert a == b
 
     def test_evaluator_majority_label(self, toy_logistic_system):
@@ -224,7 +226,8 @@ class TestAdiGeneration:
         cand = adi_generate(np.array([0.5]), system, 0, cfg, [s_rows])
         assert cand.input[0] <= -10.0
         grid = np.linspace(-3.0, 3.0, 601)[:, None]
-        assert attack_accuracy(cand.input, system, 0, [grid]) == 1.0
+        assert JointEvaluator(system, [grid]).attack_accuracy(
+            cand.input, 0) == 1.0
 
     def test_bounded_respects_bound_everywhere(self, credit_setup):
         system = credit_setup["system"]
