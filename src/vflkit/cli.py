@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import assessment, synth_data
-from .data import (Dataset, PartitionSpec, _test_mask, image_column_partition,
-                   load_csv, load_idx, mnist_column_split, normalize,
-                   ratio_split, sample_tiny, split_views)
+from .data import (Dataset, PartitionSpec, RowBlocks, _test_mask,
+                   idx_rows, image_column_partition, load_csv, load_idx,
+                   mnist_column_split, normalize, ratio_split, sample_tiny,
+                   split_views)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
 from .model import _is_finite_real, _is_integer
 from .protocol import (evaluate, load_system, save_system,
@@ -144,34 +145,40 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _load_dataset(cfg: dict) -> Dataset:
+def _load_dataset(cfg: dict) -> Dataset | RowBlocks:
+    """The configured data set. Unnormalized image sources, IDX files and
+    synthetic digits, come as ``RowBlocks``, whose rows ``split_views``
+    copies straight into the party views; any other source is a
+    ``Dataset``."""
     spec = _read(cfg, "dataset")
     kind = spec["kind"]
+    normalized = spec.get("normalize",
+                          kind != "idx" and spec.get("name") != "digits")
     try:
         if kind == "csv":
             ds = load_csv(spec["path"], spec["label_column"])
         elif kind == "idx":
-            ds = load_idx(spec["images"], spec["labels"])
+            ds = (load_idx if normalized else idx_rows)(spec["images"],
+                                                        spec["labels"])
         elif kind == "synthetic":
             name = spec["name"]
             make = {"credit": synth_data.make_credit_like,
                     "vehicle": synth_data.make_vehicle_like,
-                    "digits": synth_data.make_digits_like,
+                    "digits": synth_data.make_digits_like if normalized
+                    else synth_data.digit_rows,
                     "multimodal": synth_data.make_multimodal_like}.get(name)
             if make is None:
                 raise ConfigError(f"unknown synthetic dataset {name!r}")
             full = {"credit": synth_data.CREDIT_N,
                     "vehicle": synth_data.VEHICLE_N}.get(name, 20000)
-            ds = make(spec.get("n") or full)
+            ds = make(spec.get("n", full))
         else:
             raise ConfigError(f"unknown dataset kind {kind!r}")
     except ConfigError:
         raise
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(str(exc)) from None
-    if spec.get("normalize", kind != "idx" and spec.get("name") != "digits"):
-        ds = normalize(ds)
-    return ds
+    return normalize(ds) if normalized else ds
 
 
 def _partition(cfg: dict, d: int) -> PartitionSpec:
@@ -199,12 +206,14 @@ def _partition(cfg: dict, d: int) -> PartitionSpec:
 
 def _split(cfg: dict):
     """The dataset and the mask of its stratified test rows. The split
-    settings are checked before any data is loaded."""
+    settings and ``dataset.n`` are checked before any data is loaded."""
     dspec = _read(cfg, "dataset")
     fraction = _setting(dspec, "test_fraction", lambda v: 0 < v < 1,
                         "a number in (0, 1)", (int, float))
     seed = _setting(dspec, "split_seed", lambda v: v >= 0,
                     "a non-negative integer")
+    if "n" in dspec:
+        _count(dspec, "n")
     ds = _load_dataset(cfg)
     return ds, _test_mask(ds.labels, fraction, seed)
 
@@ -213,8 +222,10 @@ def _prepared(cfg: dict):
     """Dataset -> (train views, test views, train labels, test labels, spec,
     (mean, std) of the normalization or None).
 
-    Each view is gathered from the dataset in one copy (``split_views``),
-    and nothing returned refers to the dataset, which is freed on return.
+    ``split_views`` fills each view in place from the data set's row
+    blocks. Unnormalized digits and IDX images are streamed, so their full
+    feature matrix never exists; any other data set is freed on return, as
+    nothing returned refers to it.
     """
     ds, test_mask = _split(cfg)
     spec = _partition(cfg, ds.d)
@@ -428,8 +439,12 @@ def cmd_variance(cfg: dict, args) -> int:
             raise ConfigError(
                 "data-driven variance analysis needs a binary heterolr "
                 "checkpoint; use variance.fixture otherwise")
-        gmm, _ = fit_gmm_em(benign[0], var_cfg["k"], seed=var_cfg["em_seed"])
-        theta_b = system.participants[1].model.layers[0].weights[0]
+        # The benign parties' scores sum to one linear functional of their
+        # joined views.
+        gmm, _ = fit_gmm_em(np.concatenate(benign, axis=1), var_cfg["k"],
+                            seed=var_cfg["em_seed"])
+        theta_b = np.concatenate([p.model.layers[0].weights[0]
+                                  for p in system.participants[1:]])
         theta_a = system.participants[0].model.layers[0].weights[0]
         offset = float(theta_a @ adv_test[0] + system.coordinator.bias[0])
         sm = project_mixture(gmm, theta_b, offset)
@@ -537,6 +552,8 @@ def cmd_sweep(cfg: dict, args) -> int:
          "train": {**model, **_read(cfg, "train")}},
         columns, seed=cfg["seed"])
     ds, test_mask = _split(cfg)
+    if isinstance(ds, RowBlocks):           # every cell splits it anew
+        ds = ds.dataset()
     for value, partition in cells:
         cell = {**cfg, "partition": partition}
         train_views, test_views, ytr, yte = split_views(

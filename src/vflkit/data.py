@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import csv
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +15,9 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 STD_FLOOR = 1e-12
+
+# Rows per block when a data set's rows are handed over in blocks.
+BLOCK_ROWS = 1000
 
 
 @dataclass
@@ -41,6 +46,52 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
+
+    def row_blocks(self):
+        """(row slice, rows) pairs of ``BLOCK_ROWS`` rows, without copies."""
+        for start in range(0, self.n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            yield rows, self.features[rows]
+
+
+@dataclass
+class RowBlocks:
+    """A data set whose feature rows come in blocks, so that its (n, d)
+    feature matrix need never exist: the labels and feature names are known
+    up front, and ``blocks`` yields (row indices, rows) pairs that cover
+    each row once. The blocks can be read once; streamed data is not
+    normalized."""
+
+    labels: np.ndarray
+    feature_names: list[str]
+    blocks: Iterator[tuple[slice | np.ndarray, np.ndarray]]
+    norm_stats = None
+
+    @property
+    def d(self) -> int:
+        return len(self.feature_names)
+
+    def row_blocks(self):
+        return self.blocks
+
+    def dataset(self) -> Dataset:
+        """The rows gathered into one ``Dataset``."""
+        features = np.empty((self.labels.shape[0], self.d))
+        for rows, block in _covering(self):
+            features[rows] = block
+        return Dataset(features, self.labels, self.feature_names)
+
+
+def _covering(source):
+    """The (row indices, rows) blocks of ``source``; once they are spent,
+    a ValueError unless they held as many rows as there are labels."""
+    filled = 0
+    for rows, block in source.row_blocks():
+        filled += block.shape[0]
+        yield rows, block
+    if filled != source.labels.shape[0]:
+        raise ValueError(f"row blocks hold {filled} rows, "
+                         f"expected {source.labels.shape[0]}")
 
 
 @dataclass
@@ -128,12 +179,14 @@ def _read_idx_header(fh, path, expected_magic: int, n_dims: int):
     return fields[1:]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read big-endian IDX image/label files; pixels scaled to [0, 1]."""
+def idx_rows(images_path, labels_path) -> RowBlocks:
+    """Big-endian IDX image and label files as ``RowBlocks``: the headers,
+    the file sizes and the labels are read and checked up front, then each
+    block of ``BLOCK_ROWS`` images is read and scaled to [0, 1] in turn."""
     with open(images_path, "rb") as fh:
         n, rows, cols = _read_idx_header(fh, images_path, IDX_IMAGES_MAGIC, 3)
-        raw = fh.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
+        offset = fh.tell()
+        if os.fstat(fh.fileno()).st_size - offset < n * rows * cols:
             raise ValueError(f"{images_path}: truncated pixel data")
     with open(labels_path, "rb") as fh:
         (n_labels,) = _read_idx_header(fh, labels_path, IDX_LABELS_MAGIC, 1)
@@ -142,12 +195,28 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise ValueError(f"{labels_path}: truncated label data")
     if n_labels != n:
         raise ValueError(f"image count {n} != label count {n_labels}")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    pixels /= 255.0
-    features = pixels.reshape(n, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     names = [f"px{r:02d}_{c:02d}" for r in range(rows) for c in range(cols)]
-    return Dataset(features, labels, names)
+    return RowBlocks(labels, names,
+                     _idx_blocks(images_path, offset, n, rows * cols))
+
+
+def _idx_blocks(path, offset: int, n: int, d: int):
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for start in range(0, n, BLOCK_ROWS):
+            count = min(BLOCK_ROWS, n - start)
+            raw = fh.read(count * d)
+            if len(raw) != count * d:
+                raise ValueError(f"{path}: truncated pixel data")
+            pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+            pixels /= 255.0
+            yield slice(start, start + count), pixels.reshape(count, d)
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read big-endian IDX image/label files; pixels scaled to [0, 1]."""
+    return idx_rows(images_path, labels_path).dataset()
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray,
@@ -179,21 +248,33 @@ def partition_vertical(ds_or_features, spec: PartitionSpec) -> list[np.ndarray]:
     return [features[:, cols] for cols in spec.columns]
 
 
-def split_views(ds: Dataset, spec: PartitionSpec, test_mask: np.ndarray):
+def split_views(source, spec: PartitionSpec, test_mask: np.ndarray):
     """Each party's train and test views, then the train and test labels.
 
-    ``test_mask`` marks the test rows; ``_test_mask`` gives the stratified
-    split that ``train_test_split`` makes. The views and labels equal
-    ``partition_vertical`` of that split, but each view is gathered from
-    ``ds`` in one copy, C-ordered, with no train or test ``Dataset`` in
-    between, and none of them refers to ``ds``.
+    ``source`` is a ``Dataset`` or ``RowBlocks``. ``test_mask`` marks the
+    test rows; ``_test_mask`` gives the stratified split that
+    ``train_test_split`` makes. The views and labels equal
+    ``partition_vertical`` of that split. Each view is allocated once,
+    C-ordered, and filled block by block from ``source.row_blocks()``, with
+    no train or test ``Dataset`` in between, and none of them refers to
+    ``source``: a streamed source's (n, d) matrix never exists.
     """
-    _check_covers(spec, ds.d)
+    _check_covers(spec, source.d)
     train_rows, test_rows = np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
+    # Each row's place in its own train or test view.
+    place = np.empty(test_mask.shape[0], dtype=np.intp)
+    place[train_rows] = np.arange(train_rows.size)
+    place[test_rows] = np.arange(test_rows.size)
     train_views, test_views = (
-        [ds.features[np.ix_(rows, cols)] for cols in spec.columns]
+        [np.empty((rows.size, len(cols))) for cols in spec.columns]
         for rows in (train_rows, test_rows))
-    return train_views, test_views, ds.labels[train_rows], ds.labels[test_rows]
+    for rows, block in _covering(source):
+        in_test, at = test_mask[rows], place[rows]
+        for views, picked in ((train_views, ~in_test), (test_views, in_test)):
+            for view, cols in zip(views, spec.columns):
+                view[at[picked]] = block[np.ix_(picked, cols)]
+    labels = source.labels
+    return train_views, test_views, labels[train_rows], labels[test_rows]
 
 
 def concat_views(views: list[np.ndarray], spec: PartitionSpec) -> np.ndarray:

@@ -15,7 +15,7 @@ import csv
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, RowBlocks
 
 CREDIT_N = 30_000
 CREDIT_D = 23
@@ -188,20 +188,34 @@ def _render_digit_batch(digit: int, count: int,
     return np.clip(img, 0.0, 1.0, out=img)
 
 
-def make_digits_like(n: int, seed: int = 13,
-                     chunk: int = 1000) -> Dataset:
-    """Ten-class 28x28 digit images, pixel values in [0, 1]."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 10, size=n).astype(np.int64)
-    features = np.empty((n, DIGITS_SIDE * DIGITS_SIDE))
+def _digit_batches(labels: np.ndarray, rng: np.random.Generator,
+                   chunk: int):
+    """(row indices, images) for each (digit, chunk) batch, rendered in
+    the order that fixes the generator's draws."""
     for digit in range(10):
         idx = np.flatnonzero(labels == digit)
         for start in range(0, idx.size, chunk):
             block = idx[start:start + chunk]
-            features[block] = _render_digit_batch(digit, block.size, rng)
+            yield block, _render_digit_batch(digit, block.size, rng)
+
+
+def digit_rows(n: int, seed: int = 13, chunk: int = 1000) -> RowBlocks:
+    """``make_digits_like``'s labels, drawn first, and its images as
+    ``RowBlocks``, rendered one (digit, chunk) batch at a time as the
+    blocks are read."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=n).astype(np.int64)
     names = [f"px{r:02d}_{c:02d}" for r in range(DIGITS_SIDE)
              for c in range(DIGITS_SIDE)]
-    return Dataset(features, labels, names)
+    return RowBlocks(labels, names, _digit_batches(labels, rng, chunk))
+
+
+def make_digits_like(n: int, seed: int = 13,
+                     chunk: int = 1000) -> Dataset:
+    """Ten-class 28x28 digit images, pixel values in [0, 1]: the labels
+    are drawn first, then each digit's images are rendered ``chunk`` at a
+    time. ``digit_rows`` hands over the same rows without the matrix."""
+    return digit_rows(n, seed, chunk).dataset()
 
 
 def make_multimodal_like(n: int, seed: int = 17) -> Dataset:
