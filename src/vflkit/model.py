@@ -175,6 +175,15 @@ def _forward(model: LocalModel, x: np.ndarray):
     return x, trace
 
 
+def _forward_untraced(model: LocalModel, x: np.ndarray):
+    """``_forward``'s layer passes, in its order, keeping no layer input:
+    (output, None)."""
+    x = np.ascontiguousarray(x)
+    for layer in model.layers:
+        x = _layer_forward(layer, x)
+    return x, None
+
+
 def _linear_param_grads(x: np.ndarray, grad_out: np.ndarray):
     return grad_out.T @ x, grad_out.sum(axis=0)
 
@@ -386,18 +395,23 @@ def identity_model(dim: int) -> LocalModel:
     return LocalModel([LayerSpec("linear", dim, dim, np.eye(dim), np.zeros(dim))])
 
 
-def model_to_dict(model: LocalModel, protocol: str = "local") -> dict:
+def model_to_dict(model: LocalModel, protocol: str = "local",
+                  arrays: bool = False) -> dict:
+    """The model's checkpoint document; with ``arrays`` set, each weight
+    and bias stays a numpy array instead of a list of floats."""
     layers = []
     for layer in model.layers:
         entry: dict = {"kind": layer.kind, "in": layer.in_dim, "out": layer.out_dim}
         if layer.kind == "linear":
-            entry["weights"] = layer.weights.tolist()
-            entry["bias"] = layer.bias.tolist()
+            entry["weights"] = layer.weights if arrays else layer.weights.tolist()
+            entry["bias"] = layer.bias if arrays else layer.bias.tolist()
         layers.append(entry)
     return {"version": CHECKPOINT_VERSION, "protocol": protocol, "layers": layers}
 
 
 def model_from_dict(doc: dict) -> LocalModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model must be a JSON object, got {doc!r:.40}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     layers = []

@@ -25,6 +25,8 @@ coordinator's forward runs the SplitNN top model on ``model._forward``: its
 input is joined from local outputs the package computed. Only
 ``joint_forward`` runs every model, the top one included, through the
 public ``model.forward``, where the benchmark's span tracer counts them.
+``joint_inference``, which only reads the probabilities, runs the same
+layer passes on ``model._forward_untraced`` and keeps no layer input.
 
 Training (``_fit``) checks its views once. Its batches then run on the
 cores: ``_forward`` per party, ``_joint_trace``, ``_coordinator_backward``
@@ -43,8 +45,8 @@ import numpy as np
 from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
                     model_from_dict, model_to_dict, _activation_grad,
-                    _backward, _forward, _is_finite_real, _is_integer,
-                    _sigmoid, _softmax)
+                    _backward, _forward, _forward_untraced, _is_finite_real,
+                    _is_integer, _sigmoid, _softmax)
 
 SYSTEM_CHECKPOINT_VERSION = 1
 
@@ -168,8 +170,14 @@ def joint_forward(system: VFLSystem, views) -> _JointTrace:
 
 
 def joint_inference(system: VFLSystem, views) -> np.ndarray:
-    """Class probabilities: (n, 1) sigmoid output or (n, C) softmax rows."""
-    return joint_forward(system, views).probs
+    """Class probabilities: (n, 1) sigmoid output or (n, C) softmax rows.
+    ``joint_forward``'s probabilities, from the same layer passes in the
+    same order, but no layer input outlives its layer."""
+    views = _check_views(system, views)
+    return _joint_trace(system, [_forward_untraced(part.model, view)
+                                 for part, view in zip(system.participants,
+                                                       views)],
+                        _forward_untraced).probs
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
@@ -445,7 +453,9 @@ def evaluate(system: VFLSystem, views, labels) -> dict:
     return metrics
 
 
-def system_to_dict(system: VFLSystem) -> dict:
+def system_to_dict(system: VFLSystem, arrays: bool = False) -> dict:
+    """The system's checkpoint document; with ``arrays`` set, each
+    parameter array stays a numpy array instead of a list of floats."""
     coord = system.coordinator
     doc = {
         "version": SYSTEM_CHECKPOINT_VERSION,
@@ -453,20 +463,26 @@ def system_to_dict(system: VFLSystem) -> dict:
         "classes": system.n_classes,
         "partition": [list(p.columns) for p in system.participants],
         "participants": [
-            {"id": p.id, "model": model_to_dict(p.model, system.protocol)}
+            {"id": p.id, "model": model_to_dict(p.model, system.protocol,
+                                                arrays)}
             for p in system.participants
         ],
     }
     if coord.kind == "heterolr":
-        doc["coordinator"] = {"kind": coord.kind, "bias": coord.bias.tolist()}
+        doc["coordinator"] = {"kind": coord.kind, "bias": coord.bias if arrays
+                              else coord.bias.tolist()}
     else:
         doc["coordinator"] = {"kind": coord.kind,
                               "top_model": model_to_dict(coord.top_model,
-                                                         system.protocol)}
+                                                         system.protocol,
+                                                         arrays)}
     return doc
 
 
 def system_from_dict(doc: dict) -> VFLSystem:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a checkpoint must be a JSON object, "
+                         f"got {doc!r:.40}")
     if doc.get("version") != SYSTEM_CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     participants = [
@@ -482,8 +498,35 @@ def system_from_dict(doc: dict) -> VFLSystem:
 
 
 def save_system(system: VFLSystem, path):
+    """Write ``json.dumps(system_to_dict(system), sort_keys=True)`` to
+    ``path`` without holding that text or the document's float lists:
+    the document keeps its parameter arrays, and ``_write_json`` writes
+    one array row at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(system_to_dict(system), sort_keys=True))
+        _write_json(fh, system_to_dict(system, arrays=True))
+
+
+def _write_json(fh, obj):
+    """Write ``json.dumps(obj, sort_keys=True)``'s text piece by piece:
+    dicts and lists item by item, a 1-d array as ``json.dumps`` of its
+    list, a deeper array row by row."""
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, list) or (isinstance(obj, np.ndarray)
+                                   and obj.ndim > 1):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(", ")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray)
+                            else obj))
 
 
 def load_system(path) -> VFLSystem:

@@ -153,13 +153,26 @@ def _segment_intensity(points: np.ndarray, p1: np.ndarray,
     return np.exp(a, out=a)
 
 
+# Rows per rendering slice: each segment's planes, the maximum and the
+# noise are (slice, 784) arrays, not (count, 784) ones.
+_RENDER_SLICE = 64
+
+
 def _render_digit_batch(digit: int, count: int,
                         rng: np.random.Generator) -> np.ndarray:
+    """``count`` images of one digit, (count, 784), pixel values in [0, 1].
+
+    Draw order, which fixes the bytes: the batch's scale, x and y shift,
+    shear, stroke width and peak, then each stroke's control-point jitter,
+    all for the whole batch. The images are then rendered ``_RENDER_SLICE``
+    rows at a time, in row order: every stroke segment's maximum, the
+    peak, then the slice's own noise, then the clip. Consecutive
+    ``rng.normal`` draws give the bytes of one whole-batch draw, and every
+    other step is per row, so the slices give the whole batch's bytes."""
     side = DIGITS_SIDE
     ys, xs = np.mgrid[0:side, 0:side]
     points = np.stack([xs.ravel() + 0.5, ys.ravel() + 0.5], axis=1)
 
-    strokes = _GLYPHS[digit]
     sx = _GLYPH_X1 - _GLYPH_X0
     sy = _GLYPH_Y1 - _GLYPH_Y0
     scale = rng.uniform(0.78, 1.1, size=(count, 1, 1))
@@ -169,8 +182,8 @@ def _render_digit_batch(digit: int, count: int,
     width = rng.uniform(0.8, 1.4, size=(count, 1))
     peak = rng.uniform(0.75, 1.0, size=(count, 1))
 
-    img = np.zeros((count, side * side))
-    for stroke in strokes:
+    segments = []                                    # (p1, p2), (count, 2)
+    for stroke in _GLYPHS[digit]:
         pts = np.asarray(stroke)                     # (k, 2) unit coords
         jitter = rng.normal(0.0, 0.4, size=(count, pts.shape[0], 2))
         px = _GLYPH_X0 + pts[None, :, 0] * sx * scale[:, :, 0] + jitter[:, :, 0]
@@ -178,14 +191,21 @@ def _render_digit_batch(digit: int, count: int,
         px = px + shear[:, :, 0] * (py - py.mean(axis=1, keepdims=True))
         px = px + shift_x[:, :, 0]
         py = py + shift_y[:, :, 0]
-        for a, b in zip(range(pts.shape[0] - 1), range(1, pts.shape[0])):
-            p1 = np.stack([px[:, a], py[:, a]], axis=1)
-            p2 = np.stack([px[:, b], py[:, b]], axis=1)
-            np.maximum(img, _segment_intensity(points, p1, p2, width),
-                       out=img)
-    img *= peak
-    img += rng.normal(0.0, 0.07, size=img.shape)
-    return np.clip(img, 0.0, 1.0, out=img)
+        segments += [(np.stack([px[:, a], py[:, a]], axis=1),
+                      np.stack([px[:, a + 1], py[:, a + 1]], axis=1))
+                     for a in range(pts.shape[0] - 1)]
+
+    img = np.zeros((count, side * side))
+    for start in range(0, count, _RENDER_SLICE):
+        rows = slice(start, start + _RENDER_SLICE)
+        out = img[rows]
+        for p1, p2 in segments:
+            np.maximum(out, _segment_intensity(points, p1[rows], p2[rows],
+                                               width[rows]), out=out)
+        out *= peak[rows]
+        out += rng.normal(0.0, 0.07, size=out.shape)
+        np.clip(out, 0.0, 1.0, out=out)
+    return img
 
 
 def _digit_batches(labels: np.ndarray, rng: np.random.Generator,

@@ -297,6 +297,22 @@ class TestExitCodes:
                        "--checkpoint", str(broken))
         self._fails(capsys, code, 2, "data error:")
 
+    # Valid JSON of the wrong shape: a list where an object belongs, at the
+    # top level or as a participant's model.
+    @pytest.mark.parametrize("where", ["top", "model"])
+    def test_checkpoint_of_the_wrong_shape(self, tmp_path, capsys,
+                                           credit_ckpt, where):
+        with open(credit_ckpt, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if where == "top":
+            doc = [1, 2]
+        else:
+            doc["participants"][1]["model"] = [1]
+        broken = tmp_path / "broken.json"
+        _write_config(broken, doc)
+        code, _ = _run(tmp_path, CREDIT, "fuzz", "--checkpoint", str(broken))
+        self._fails(capsys, code, 2, "data error: malformed checkpoint")
+
     def test_dominance_threshold_outside_unit_interval(self, tmp_path,
                                                        capsys, credit_ckpt):
         doc = {**CREDIT, "dominance": {"n_rows": 100, "thresholds": [1.5]}}

@@ -320,3 +320,35 @@ class TestRenderer:
         assert got.tobytes() == want.tobytes()
         for a, b in zip((points, p1, p2, width), before):
             assert a.tobytes() == b.tobytes()
+
+
+class TestRendererSlices:
+    """The renderer works in ``_RENDER_SLICE``-row slices; these batches
+    cross slice boundaries and are not multiples of the slice size."""
+
+    SLICE = synth_data._RENDER_SLICE
+
+    @pytest.mark.parametrize("n, seed, chunk", [
+        (2500, 13, 1000), (1311, 5, 1000), (700, 3, 2 * SLICE + 1),
+        (200, 1, SLICE + 1), (300, 7, SLICE - 1)])
+    def test_make_digits_like_equals_old_renderer(self, monkeypatch, n, seed,
+                                                  chunk):
+        got = synth_data.make_digits_like(n, seed, chunk)
+        monkeypatch.setattr(synth_data, "_render_digit_batch",
+                            _old_render_digit_batch)
+        want = synth_data.make_digits_like(n, seed, chunk)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
+
+    @pytest.mark.parametrize("count", [1, SLICE - 1, SLICE, SLICE + 1,
+                                       3 * SLICE + 5])
+    def test_batch_equals_old_renderer(self, count):
+        for digit in range(10):
+            rng = np.random.default_rng(digit)
+            twin = np.random.default_rng(digit)
+            got = synth_data._render_digit_batch(digit, count, rng)
+            want = _old_render_digit_batch(digit, count, twin)
+            assert got.shape == (count, synth_data.DIGITS_SIDE ** 2)
+            assert got.tobytes() == want.tobytes()
+            # Both draw the same numbers, so the next draw agrees too.
+            assert rng.random() == twin.random()
