@@ -620,6 +620,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        if not (_is_integer(cfg["seed"]) and cfg["seed"] >= 0):
+            raise ConfigError("seed must be a non-negative integer, "
+                              f"got {cfg['seed']!r}")
         if args.output_dir:
             cfg["output_dir"] = args.output_dir
         return _COMMANDS[args.command](cfg, args)

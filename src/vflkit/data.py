@@ -354,11 +354,13 @@ def _test_mask(labels: np.ndarray, test_fraction: float,
 
     Label by label in sorted order, one generator seeded with ``seed``
     permutes the label's rows, and the first max(1, round(n * test_fraction))
-    of them are test rows.
+    of them are test rows. ``labels`` are integers >= 0, as every loader
+    gives them.
     """
     rng = np.random.default_rng(seed)
     mask = np.zeros(labels.shape[0], dtype=bool)
-    for label in np.unique(labels):
+    # The labels present, in sorted order; np.unique would import numpy.ma.
+    for label in np.flatnonzero(np.bincount(labels)):
         idx = rng.permutation(np.flatnonzero(labels == label))
         mask[idx[:max(1, int(round(len(idx) * test_fraction)))]] = True
     return mask

@@ -15,6 +15,10 @@ differently. Parameter gradients take a 2-D batch only.
 ``forward`` and ``backward`` check their input (float64, finite, width),
 then call the cores ``_forward`` and ``_backward``, which trust arrays the
 package built itself and keep only the contiguity copy and shape checks.
+``_forward`` keeps every layer's input for a backward pass, so no layer may
+write over one. ``_forward_untraced``, for passes that only read the output,
+keeps none, and applies each ReLU in place on an array the pass itself
+made, never on the caller's input.
 """
 from __future__ import annotations
 
@@ -176,12 +180,25 @@ def _forward(model: LocalModel, x: np.ndarray):
 
 
 def _forward_untraced(model: LocalModel, x: np.ndarray):
-    """``_forward``'s layer passes, in its order, keeping no layer input:
-    (output, None)."""
-    x = np.ascontiguousarray(x)
-    for layer in model.layers:
-        x = _layer_forward(layer, x)
-    return x, None
+    """``_forward``'s output bytes, keeping no layer input: (output, None).
+
+    The first layer makes a fresh array, so every later ReLU runs in place
+    on an array this pass made; the caller's ``x`` is never written to.
+    """
+    first = _layer_forward(model.layers[0], np.ascontiguousarray(x))
+    return _forward_fresh(model.layers[1:], first), None
+
+
+def _forward_fresh(layers, x: np.ndarray) -> np.ndarray:
+    """``layers`` applied to ``x``, an array the caller made and gives up.
+    Each ReLU writes over its input: the same ``np.maximum`` loop as
+    ``_layer_forward``'s, so the same bytes."""
+    for layer in layers:
+        if layer.kind == "relu":
+            np.maximum(x, 0.0, out=x)
+        else:
+            x = _layer_forward(layer, x)
+    return x
 
 
 def _linear_param_grads(x: np.ndarray, grad_out: np.ndarray):

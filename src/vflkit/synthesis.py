@@ -12,7 +12,11 @@ estimates every gradient from joint-inference outputs alone by forward
 finite differences, d+1 joint inferences per gradient in d inputs. The
 simulation answers each such batch from its structure (one perturbed
 coordinate per row) rather than row by row; ``fdm_gradient`` over
-``joint_forward`` is the reference estimator it is tested against.
+``joint_forward`` is the reference estimator it is tested against. Every
+such batch reaches the coordinator as one ``_coordinator_forward`` call,
+which runs the top model untraced: the blackbox never backpropagates, so
+no layer input is kept and each ReLU runs in place. That call is the
+chokepoint where the tests count and record the blackbox's queries.
 
 Several adversary rows are synthesised in lockstep: at round t every row
 descends against the same benign row, so each round's objective takes an
@@ -32,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import protocol
 from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
-                    _is_finite_real, _is_integer, _layer_forward)
+                    _forward_fresh, _forward_untraced, _is_finite_real,
+                    _is_integer)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       party_input_grads, _coordinator_forward, _joint_trace,
-                       _JointTrace, _labels)
+                       party_input_grads, _joint_trace, _JointTrace, _labels)
 
 BOUND_FLOOR = 1e-6
 
@@ -512,11 +517,13 @@ class _Blackbox(_Objective):
     row by row (``_fd_local_outputs``); the answers match ``fdm_gradient``
     over ``joint_forward`` on the same rows up to rounding.
 
-    Each local block is built once: the adversary's once per distinct row
-    per inner step (keyed on its value) for the row's four batches, the
-    benign rows' when the round's objective is built, for every row. Fixed
-    parties' single-row outputs join a batch as broadcast views. An (R, d)
-    block of rows with (R,) labels runs each row's batches in turn.
+    Each batch is one untraced ``_coordinator_forward`` call, which is
+    where the tests count queries. Each local block is built once: the
+    adversary's once per distinct row per inner step (keyed on its value)
+    for the row's four batches, the benign rows' when the round's objective
+    is built, for every row. Fixed parties' single-row outputs join a batch
+    as broadcast views. An (R, d) block of rows with (R,) labels runs each
+    row's batches in turn.
 
     Each distinct row value is answered once per round, its loss once per
     label: the gradients are kept beside its adversary block, so a row
@@ -598,24 +605,29 @@ class _Blackbox(_Objective):
         return (vals[1:] - vals[0]) / self.cfg.fdm_step
 
 
+def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
+    """One blackbox query batch: ``protocol._coordinator_forward`` on the
+    parties' local output blocks, a SplitNN top model run untraced."""
+    return protocol._coordinator_forward(system, locals_, _forward_untraced)
+
+
 def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:
     """Local outputs of ``x`` and of ``x + delta*e_i`` for each coordinate i,
     as d+1 rows.
 
     With a linear first layer, ``(x + delta*e_i) W^T = x W^T + delta*W[:, i]``,
     so the perturbed pre-activations are rank-one updates of the base row's
-    and only the remaining layers run on d+1 rows. Any other first layer
-    runs the materialised batch.
+    and only the remaining layers run on d+1 rows, each ReLU in place on
+    the block built here. Any other first layer runs the materialised
+    batch.
     """
     x = as_vector(x, model.input_dim)
     first = model.layers[0]
     if first.kind != "linear":
         return forward(model, _fd_batch(x, delta))[0]
     h0 = x @ first.weights.T + first.bias
-    z = np.vstack([h0, h0 + delta * first.weights.T])
-    for layer in model.layers[1:]:
-        z = _layer_forward(layer, z)
-    return z
+    return _forward_fresh(model.layers[1:],
+                          np.vstack([h0, h0 + delta * first.weights.T]))
 
 
 def _objective_grads(system, benign_rows, l_target, cfg):

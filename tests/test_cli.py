@@ -517,6 +517,38 @@ class TestSeedPrecedence:
         assert err.startswith("config error: VFLKIT_SEED")
 
 
+class TestSeedChecked:
+    """The run seed, after ``VFLKIT_SEED`` and ``--seed``, must be a
+    non-negative integer and not a bool; otherwise the run exits 1 with a
+    config error naming the key, before any data is loaded."""
+
+    @pytest.mark.parametrize("seed, env, flags", [
+        (True, None, ()), (-1, None, ()), ("abc", None, ()), (1.5, None, ()),
+        (0, None, ("--seed", "-1")), (0, "-1", ())])
+    def test_exits_one_before_loading(self, tmp_path, capsys, monkeypatch,
+                                      seed, env, flags):
+        if env is None:
+            monkeypatch.delenv("VFLKIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("VFLKIT_SEED", env)
+        loaded = []
+        monkeypatch.setattr(cli, "_load_dataset", loaded.append)
+        code, _ = _run(tmp_path, {**CREDIT, "seed": seed}, "train", *flags)
+        err = capsys.readouterr().err
+        bad = -1 if flags or env else seed
+        assert code == 1
+        assert err == ("config error: seed must be a non-negative integer, "
+                       f"got {bad!r}\n")
+        assert not loaded
+
+    def test_flag_overrides_a_bad_config_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VFLKIT_SEED", raising=False)
+        code, out = _run(tmp_path, {"seed": -1, "variance": {
+            "n_mc": 2000, "fixture": _FIXTURE}}, "variance", "--seed", "0")
+        assert code == 0
+        assert _report(out, "variance")["seed"] == 0
+
+
 def test_variance_runs_with_scipy_blocked(tmp_path):
     """``vflkit variance`` in an interpreter where importing scipy fails
     writes the rows of an in-process run."""

@@ -1,12 +1,16 @@
+import json
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vflkit import synth_data
-from vflkit.data import (Dataset, PartitionSpec, concat_views, load_csv,
-                         load_idx, mnist_column_split, normalize,
+from vflkit import cli, synth_data
+from vflkit.data import (Dataset, PartitionSpec, _test_mask, concat_views,
+                         load_csv, load_idx, mnist_column_split, normalize,
                          partition_vertical, ratio_split, sample_tiny,
                          train_test_split, write_idx)
 
@@ -267,3 +271,45 @@ class TestTrainTestSplit:
         for label in range(4):
             frac = (te1.labels == label).sum() / (ds.labels == label).sum()
             assert 0.1 < frac < 0.3
+
+
+def _unique_mask(labels, test_fraction, seed):
+    """``_test_mask`` as it was written with ``np.unique``: the oracle."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(labels.shape[0], dtype=bool)
+    for label in np.unique(labels):
+        idx = rng.permutation(np.flatnonzero(labels == label))
+        mask[idx[:max(1, int(round(len(idx) * test_fraction)))]] = True
+    return mask
+
+
+class TestTestMask:
+    """The stratified test mask loops over the labels present in sorted
+    order without ``np.unique``, which imports ``numpy.ma``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_mask_as_the_unique_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        # Labels drawn from a sparse set leave gaps, and 0 may be absent.
+        present = np.sort(rng.choice(40, size=rng.integers(1, 8),
+                                     replace=False))
+        labels = rng.choice(present, size=int(rng.integers(1, 300)))
+        for fraction in (0.05, 0.2, 0.5):
+            got = _test_mask(labels, fraction, seed)
+            assert got.tobytes() == \
+                _unique_mask(labels, fraction, seed).tobytes()
+
+    def test_digits_set_up_leaves_numpy_ma_unimported(self, tmp_path):
+        doc = {"dataset": {"kind": "synthetic", "name": "digits", "n": 300},
+               "partition": {"kind": "image_columns", "counts": [14, 14]}}
+        config = tmp_path / "digits.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = (f"import sys; sys.path.insert(0, {src!r}); "
+               "from vflkit import cli; "
+               f"cli._prepared(cli.load_config({str(config)!r})); "
+               "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", run],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
