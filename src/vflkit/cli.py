@@ -26,7 +26,7 @@ from .data import (Dataset, PartitionSpec, RowBlocks, _test_mask,
                    mnist_column_split, normalize, ratio_split, sample_tiny,
                    split_views)
 from .fuzzer import CampaignConfig, calibrate_saliency, fuzz_campaign
-from .model import _is_finite_real, _is_integer
+from .model import _is_finite_real, _is_integer, _split_widths
 from .protocol import (evaluate, load_system, save_system,
                        splitnn_architecture, train_heterolr,
                        train_linear_joint, train_splitnn)
@@ -185,15 +185,14 @@ def _partition(cfg: dict, d: int) -> PartitionSpec:
     part = _read(cfg, "partition")
     kind = part["kind"]
     if kind == "counts":
-        counts = part["counts"]
-        cols = []
-        start = 0
-        for c in counts:
-            cols.append(list(range(start, start + int(c))))
-            start += int(c)
-        if start != d:
-            raise ConfigError(f"partition counts sum to {start}, dataset has {d}")
-        return PartitionSpec(cols)
+        counts = [int(c) for c in part["counts"]]
+        if sum(counts) != d:
+            raise ConfigError(f"partition counts sum to {sum(counts)}, "
+                              f"dataset has {d}")
+        if min(counts) < 1:
+            raise ConfigError(f"partition counts must be positive, got {counts}")
+        return PartitionSpec([cols.tolist() for cols
+                              in _split_widths(np.arange(d), counts)])
     if kind == "ratio":
         return ratio_split(d, float(part["ratio"]))
     if kind == "image_columns":
@@ -338,16 +337,17 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_dominance(cfg: dict, args) -> int:
+    dom = _read(cfg, "dominance")
+    n_rows = _count(dom, "n_rows")
+    thresholds = _setting(dom, "thresholds", lambda v: v and all(
+        _is_finite_real(t) and 0 < t <= 1 for t in v),
+        "a nonempty list of numbers in (0, 1]", list)
     out = _out_dir(cfg)
     _, adv_test, benign, system, _ = _attack_setup(cfg, args)
-    dom = _read(cfg, "dominance")
-    if not all(0 < t <= 1 for t in dom["thresholds"]):
-        raise ConfigError("dominance.thresholds must lie in (0, 1]")
     report = assessment.ExperimentReport(
         "dominance", dict(dom), ["threshold", "dominating_rate"],
         seed=cfg["seed"])
-    n_rows = _count(dom, "n_rows")
-    for thr in dom["thresholds"]:
+    for thr in thresholds:
         rate = assessment.dominating_rate(system, adv_test[:n_rows], benign,
                                           thr)
         report.rows.append({"threshold": thr, "dominating_rate": rate})
@@ -379,6 +379,18 @@ def cmd_synthesize(cfg: dict, args) -> int:
     return 0
 
 
+def _corpus_size(spec) -> int | None:
+    """N of a ``fuzz.corpus`` of ``sample:N``; None for an array of rows."""
+    if isinstance(spec, list):
+        return None
+    size = spec[len("sample:"):] if isinstance(spec, str) \
+        and spec.startswith("sample:") else ""
+    if not (size.isdecimal() and int(size) >= 1):
+        raise ConfigError("fuzz: corpus must be 'sample:N' with N >= 1 or an "
+                          f"array of rows, got {spec!r}")
+    return int(size)
+
+
 def cmd_fuzz(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     # What is left after the run's own keys are CampaignConfig fields.
@@ -392,13 +404,10 @@ def cmd_fuzz(cfg: dict, args) -> int:
                                         and budget_mins > 0):
         raise ConfigError("fuzz: budget_mins must be finite and > 0, "
                           f"got {budget_mins!r}")
+    n_corpus = _corpus_size(corpus_spec)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
-    if isinstance(corpus_spec, str) and corpus_spec.startswith("sample:"):
-        corpus = _sample_rows(rng, adv_test, int(corpus_spec.split(":", 1)[1]))
-    elif isinstance(corpus_spec, list):
-        corpus = np.asarray(corpus_spec, dtype=np.float64)
-    else:
-        raise ConfigError("fuzz.corpus must be 'sample:N' or an array")
+    corpus = np.asarray(corpus_spec, dtype=np.float64) if n_corpus is None \
+        else _sample_rows(rng, adv_test, n_corpus)
     tiny = _tiny_sample(cfg, benign)
     try:
         camp = CampaignConfig(
@@ -426,9 +435,12 @@ def cmd_fuzz(cfg: dict, args) -> int:
 
 
 def cmd_variance(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     var_cfg = _read(cfg, "variance")
-    n_mc = var_cfg["n_mc"]
+    n_mc = _setting(var_cfg, "n_mc", lambda v: v >= 2, "an integer >= 2")
+    k = _count(var_cfg, "k")
+    em_seed = _setting(var_cfg, "em_seed", lambda v: v >= 0,
+                       "a non-negative integer")
+    out = _out_dir(cfg)
     seed = cfg["seed"]
     if "fixture" in var_cfg:
         fx = var_cfg["fixture"]
@@ -441,8 +453,7 @@ def cmd_variance(cfg: dict, args) -> int:
                 "checkpoint; use variance.fixture otherwise")
         # The benign parties' scores sum to one linear functional of their
         # joined views.
-        gmm, _ = fit_gmm_em(np.concatenate(benign, axis=1), var_cfg["k"],
-                            seed=var_cfg["em_seed"])
+        gmm, _ = fit_gmm_em(np.concatenate(benign, axis=1), k, seed=em_seed)
         theta_b = np.concatenate([p.model.layers[0].weights[0]
                                   for p in system.participants[1:]])
         theta_a = system.participants[0].model.layers[0].weights[0]

@@ -276,8 +276,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
                                           cfg.mask_weight, cfg.bound, rng,
                                           cfg.noise_std_factor)
             result.n_mutations += 1
-            seed = FuzzSeed(x_new, seed.target, seed.best_score,
-                            seed.lineage_id, seed.origin)
+            seed.input = x_new
             if is_adi(x_new, sample_eval, seed.target, system,
                       cfg.stable_fraction):
                 r_full = full_eval.attack_accuracy(x_new, seed.target)
@@ -299,8 +298,7 @@ def fuzz_campaign(corpus, system: VFLSystem, s_benign, cfg: CampaignConfig,
                                   <= cfg.bound + 1e-12):
                         raise RuntimeError("requeued seed left the bound box")
                     queue.append(requeued)
-                    seed = FuzzSeed(x_new, seed.target, score,
-                                    seed.lineage_id, seed.origin)
+                    seed.best_score = score
                     outcome = "requeued"
         result.log.append({
             "iteration": iteration, "lineage": seed.lineage_id,

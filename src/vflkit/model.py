@@ -53,6 +53,16 @@ def as_matrix(data, cols: int | None = None,
     return np.ascontiguousarray(arr)
 
 
+def _split_widths(arr: np.ndarray, widths) -> list[np.ndarray]:
+    """Views of consecutive last-axis blocks of ``arr``, one per width."""
+    views = []
+    offset = 0
+    for width in widths:
+        views.append(arr[..., offset:offset + width])
+        offset += width
+    return views
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 

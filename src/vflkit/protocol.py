@@ -46,7 +46,7 @@ from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
                     model_from_dict, model_to_dict, _activation_grad,
                     _backward, _forward, _forward_untraced, _is_finite_real,
-                    _is_integer, _sigmoid, _softmax)
+                    _is_integer, _sigmoid, _softmax, _split_widths)
 
 SYSTEM_CHECKPOINT_VERSION = 1
 
@@ -93,8 +93,7 @@ class VFLSystem:
         self.spec = PartitionSpec([list(p.columns) for p in self.participants])
         dims = [p.model.output_dim for p in self.participants]
         if self.coordinator.kind == "heterolr":
-            width = 1 if self.n_classes == 2 else self.n_classes
-            if any(d != width for d in dims):
+            if any(d != self.output_dim for d in dims):
                 raise ValueError("logistic participants must emit equal-width scores")
         else:
             if self.coordinator.top_model.input_dim != sum(dims):
@@ -218,12 +217,8 @@ def _coordinator_backward(system: VFLSystem, jt: _JointTrace, grad: np.ndarray,
     top_params, grad_concat = _backward(coord.top_model, jt.coord_trace,
                                         grad, n_skip_top=skip,
                                         with_params=with_params)
-    branch_grads = []
-    offset = 0
-    for part in system.participants:
-        width = part.model.output_dim
-        branch_grads.append(grad_concat[..., offset:offset + width])
-        offset += width
+    branch_grads = _split_widths(grad_concat, [p.model.output_dim
+                                               for p in system.participants])
     return branch_grads, top_params if with_params else None
 
 
@@ -295,18 +290,16 @@ def _fit(views, labels, local_dims: list[list[int]], coord: Coordinator,
         raise ValueError(f"momentum must lie in [0, 1), got {momentum!r}")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     views = [as_matrix(view) for view in views]
+    widths = [view.shape[1] for view in views]
     participants = []
-    offset = 0
-    for i, (view, dims) in enumerate(zip(views, local_dims)):
-        width = view.shape[1]
+    for i, (width, cols, dims) in enumerate(zip(
+            widths, _split_widths(np.arange(sum(widths)), widths), local_dims)):
         if dims[0] != width:
             raise ValueError(f"local model {i} input dim {dims[0]} != view width "
                              f"{width}")
         model = init_model(dims, "relu", seed=seed + 1000 * (i + 1))
         name = "A" if i == 0 else f"B{i}"
-        participants.append(Participant(
-            name, list(range(offset, offset + width)), model))
-        offset += width
+        participants.append(Participant(name, cols.tolist(), model))
     system = VFLSystem(participants, coord, n_classes)
     n = views[0].shape[0]
     if any(view.shape[0] != n for view in views):

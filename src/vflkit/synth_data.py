@@ -65,14 +65,20 @@ def make_credit_like(n: int = CREDIT_N, seed: int = 7) -> Dataset:
 _VEHICLE_SEP = 0.55
 
 
-def make_vehicle_like(n: int = VEHICLE_N, seed: int = 11) -> Dataset:
+def _class_means_table(n: int, d: int, classes: int, sep: float,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels): unit noise around class means drawn from
+    ``seed + 1`` times ``sep``; labels, then noise, drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    mean_rng = np.random.default_rng(seed + 1)
-    means = mean_rng.standard_normal((VEHICLE_CLASSES, VEHICLE_D)) * _VEHICLE_SEP
-    labels = rng.integers(0, VEHICLE_CLASSES, size=n)
-    x = means[labels] + rng.standard_normal((n, VEHICLE_D))
-    names = [f"x{i:02d}" for i in range(VEHICLE_D)]
-    return Dataset(x, labels.astype(np.int64), names)
+    means = np.random.default_rng(seed + 1).standard_normal((classes, d)) * sep
+    labels = rng.integers(0, classes, size=n)
+    return means[labels] + rng.standard_normal((n, d)), labels
+
+
+def make_vehicle_like(n: int = VEHICLE_N, seed: int = 11) -> Dataset:
+    x, labels = _class_means_table(n, VEHICLE_D, VEHICLE_CLASSES,
+                                   _VEHICLE_SEP, seed)
+    return Dataset(x, labels, [f"x{i:02d}" for i in range(VEHICLE_D)])
 
 
 def write_csv(ds: Dataset, path, label_name: str = "label"):
@@ -240,12 +246,8 @@ def make_digits_like(n: int, seed: int = 13,
 
 def make_multimodal_like(n: int, seed: int = 17) -> Dataset:
     """Two-block (634 image-like + 1000 text-like features) ten-class table."""
-    rng = np.random.default_rng(seed)
-    mean_rng = np.random.default_rng(seed + 1)
-    d = MULTIMODAL_D_IMAGE + MULTIMODAL_D_TEXT
-    means = mean_rng.standard_normal((MULTIMODAL_CLASSES, d)) * 0.35
-    labels = rng.integers(0, MULTIMODAL_CLASSES, size=n).astype(np.int64)
-    x = means[labels] + rng.standard_normal((n, d))
+    x, labels = _class_means_table(n, MULTIMODAL_D_IMAGE + MULTIMODAL_D_TEXT,
+                                   MULTIMODAL_CLASSES, 0.35, seed)
     names = ([f"img{i:03d}" for i in range(MULTIMODAL_D_IMAGE)]
              + [f"txt{i:03d}" for i in range(MULTIMODAL_D_TEXT)])
     return Dataset(x, labels, names)

@@ -39,7 +39,7 @@ import numpy as np
 from . import protocol
 from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
                     _forward_fresh, _forward_untraced, _is_finite_real,
-                    _is_integer)
+                    _is_integer, _split_widths)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
                        party_input_grads, _joint_trace, _JointTrace, _labels)
 
@@ -188,12 +188,7 @@ def split_benign(system: VFLSystem, rows, adv_index: int = 0) -> list[np.ndarray
     if rows.shape[1] != sum(widths):
         raise ValueError(
             f"benign rows have {rows.shape[1]} columns, expected {sum(widths)}")
-    views = []
-    offset = 0
-    for w in widths:
-        views.append(rows[:, offset:offset + w])
-        offset += w
-    return views
+    return _split_widths(rows, widths)
 
 
 def _as_benign_views(system: VFLSystem, benign,
@@ -436,16 +431,16 @@ class _Objective:
         if np.all(flat):
             return np.zeros_like(x_adv)
         h = _HVP_STEP
-        offset = 0
-        plus, minus = [], []
-        for row in self.rows:
-            d = flat_dir[..., offset:offset + row.shape[0]]
-            plus.append(row + h * d)
-            minus.append(row - h * d)
-            offset += row.shape[0]
-        gp = self._adv_spread_grad(x_adv, plus)
-        gm = self._adv_spread_grad(x_adv, minus)
+        dirs = _split_widths(flat_dir, [row.shape[0] for row in self.rows])
+        gp = self._adv_spread_grad(x_adv, [row + h * d for row, d
+                                           in zip(self.rows, dirs)])
+        gm = self._adv_spread_grad(x_adv, [row - h * d for row, d
+                                           in zip(self.rows, dirs)])
         return np.where(flat[..., None], 0.0, (gp - gm) / (2.0 * h))
+
+    def _benign_locals(self, rows):
+        return [_forward(p.model, row[..., None, :])
+                for p, row in zip(self.system.participants[1:], rows)]
 
 
 class _Whitebox(_Objective):
@@ -471,10 +466,6 @@ class _Whitebox(_Objective):
         self._benign = self._benign_locals(self.rows)
         self._x = None
         self._jt = None
-
-    def _benign_locals(self, rows):
-        return [_forward(p.model, row[..., None, :])
-                for p, row in zip(self.system.participants[1:], rows)]
 
     def _base(self, x_adv) -> _JointTrace:
         if x_adv is not self._x:
@@ -592,8 +583,7 @@ class _Blackbox(_Objective):
         return entry["block"]
 
     def _outputs(self, rows):
-        return [forward(p.model, row[None, :])[0]
-                for p, row in zip(self.system.participants[1:], rows)]
+        return [out for out, _ in self._benign_locals(rows)]
 
     def _fd_grad(self, outs, fn):
         """Forward-difference gradient of ``fn`` (joint output rows to

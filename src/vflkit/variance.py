@@ -232,12 +232,14 @@ def splitnn_unit_variance(sm: ScalarMixture, method: str = "exact") -> float:
     """Output variance of a scalar ReLU unit fed by the mixture.
 
     method="exact" evaluates Var(relu(Y)) = E[Y^2 1(Y>0)] - E[Y 1(Y>0)]^2
-    from exact mixture truncated moments. method="per_component" assembles
-    the same quantity from per-component truncated-normal moments
-    (P(Y>0) = sum w_k Phi(r_k), E[Y|Y>0] = sum w_k (mu_k + sigma_k h_k),
+    from exact mixture truncated moments. method="per_component" combines
+    per-component truncated-normal moments (P(Y>0) = sum w_k Phi(r_k),
+    E[Y|Y>0] = sum w_k (mu_k + sigma_k h_k),
     Var(Y|Y>0) = sum w_k^2 sigma_k^2 (1 - r_k h_k - h_k^2) with
-    h = phi/Phi); the two coincide for a single component. Either can dip
-    slightly below zero, so the result is clamped at 0.
+    h = phi/Phi). It equals the exact variance for a single component
+    only: on w = (0.5, 0.5), mu = (-1, 2), sigma = (0.5, 1) it gives 0.4285,
+    against 1.4851 exact and 1.4854 by Monte-Carlo over 10^6 draws. Either
+    can dip slightly below zero, so the result is clamped at 0.
     """
     if method == "exact":
         _, m1, m2 = relu_moments(sm)
