@@ -24,7 +24,6 @@ from .variance import (Gmm, ScalarMixture, bounded_existence_check,
                        fit_gmm_em, heterolr_variance, project_mixture,
                        splitnn_unit_variance, variance_monte_carlo)
 from .assessment import (ExperimentReport, build_perturbation_matrix,
-                         dominating_rate, reconstruct_and_rate, reward_shares,
-                         singular_spectrum, success_rate)
+                         dominating_rate, reward_shares, success_rate)
 
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Quantitative studies: dominance baselines, synthesis campaigns, reward
-shares, and the perturbation-subspace analysis. The partition-ratio and
-party-count sweeps run these per partition cell from ``cli.cmd_sweep``.
+shares, and the perturbation matrix of the subspace study, whose spectrum
+and top-k reconstructions ``cli.cmd_svd`` takes with numpy. The
+partition-ratio and party-count sweeps run these per partition cell from
+``cli.cmd_sweep``.
 """
 from __future__ import annotations
 
@@ -126,22 +128,14 @@ def reward_shares(system: VFLSystem, views) -> tuple[np.ndarray, bool]:
     return mean / mean.sum(), degenerate
 
 
-@dataclass
-class PerturbationStudy:
-    matrix: np.ndarray            # (d, h) unit-normalized perturbation columns
-    mean_perturbation: np.ndarray
-    base: np.ndarray
-    target: int
-    dropped: int = 0
-
-
 def build_perturbation_matrix(system: VFLSystem, benign_rows, x_adv_star,
                               cfg: SynthesisConfig,
-                              l_target: int) -> PerturbationStudy:
+                              l_target: int) -> tuple[np.ndarray, np.ndarray]:
     """One single-benign-row synthesis pass per column, unit-normalized.
 
-    Column i is the mutation found against benign row i alone; zero columns
-    are dropped (counted in the result).
+    Column i is the mutation found against benign row i alone. Returns the
+    (d, h) matrix of unit columns and the mean of the raw mutations; a zero
+    mutation is left out of both.
     """
     benign_views = _as_benign_views(system, benign_rows)
     h = benign_views[0].shape[0]
@@ -150,43 +144,14 @@ def build_perturbation_matrix(system: VFLSystem, benign_rows, x_adv_star,
     base = as_vector(x_adv_star)
     cols = []
     raw = []
-    dropped = 0
     for i in range(h):
         rows = [view[i:i + 1] for view in benign_views]
         cand = adi_generate(base, system, l_target, cfg, rows)
         norm = np.linalg.norm(cand.perturbation)
         if norm == 0.0:
-            dropped += 1
             continue
         cols.append(cand.perturbation / norm)
         raw.append(cand.perturbation)
     if not cols:
         raise ValueError("every synthesis pass returned a zero perturbation")
-    matrix = np.stack(cols, axis=1)
-    mean_v = np.mean(raw, axis=0)
-    return PerturbationStudy(matrix, mean_v, base, int(l_target), dropped)
-
-
-def singular_spectrum(matrix) -> np.ndarray:
-    matrix = as_matrix(matrix)
-    return np.linalg.svd(matrix, compute_uv=False)
-
-
-def random_unit_columns(d: int, h: int, seed: int = 0) -> np.ndarray:
-    """Baseline matrix with columns uniform on the unit sphere."""
-    rng = np.random.default_rng(seed)
-    cols = rng.standard_normal((d, h))
-    return cols / np.linalg.norm(cols, axis=0, keepdims=True)
-
-
-def reconstruct_and_rate(study: PerturbationStudy, k: int, system: VFLSystem,
-                         test_benign_views) -> float:
-    """Dominating accuracy after projecting the mean mutation onto the top-k
-    left singular directions of the perturbation matrix."""
-    u, _, _ = np.linalg.svd(study.matrix, full_matrices=False)
-    if not 1 <= k <= u.shape[1]:
-        raise ValueError(f"k must lie in [1, {u.shape[1]}]")
-    basis = u[:, :k]
-    projected = basis @ (basis.T @ study.mean_perturbation)
-    evaluator = JointEvaluator(system, test_benign_views)
-    return evaluator.attack_accuracy(study.base + projected, study.target)
+    return np.stack(cols, axis=1), np.mean(raw, axis=0)

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +97,15 @@ class _Section(dict):
         raise ConfigError(f"config needs {self.name}.{key}")
 
 
-def _read(cfg: dict, name: str):
-    """Config entry ``name``: a top-level value, or a ``_Section``."""
+def _read(cfg: dict, name: str, within: str = ""):
+    """Config entry ``name``: a top-level value, or a ``_Section``. A
+    section nested in another is read from that one, with ``within``
+    prefixing its name (``"sweep."``)."""
     default = _CONFIG[name]
     if not isinstance(default, dict):
         return cfg.get(name, default)
     given = cfg.get(name, {})
+    name = within + name
     if not isinstance(given, dict):
         raise ConfigError(f"config key {name!r} must be an object")
     for key in given:
@@ -181,26 +185,44 @@ def _load_dataset(cfg: dict) -> Dataset | RowBlocks:
     return normalize(ds) if normalized else ds
 
 
-def _partition(cfg: dict, d: int) -> PartitionSpec:
+def _partition_settings(cfg: dict) -> _Section:
+    """The partition section, with the settings its kind reads checked; no
+    data is needed for that."""
     part = _read(cfg, "partition")
     kind = part["kind"]
+    if kind not in ("counts", "ratio", "image_columns"):
+        raise ConfigError(f"unknown partition kind {kind!r}")
+    if kind == "ratio":
+        _setting(part, "ratio", lambda v: _is_finite_real(v) and v > 0,
+                 "a finite number > 0", (int, float))
+    elif kind == "counts" or "counts" in part:
+        counts = _setting(part, "counts", lambda v: v and all(map(
+            _is_integer, v)), "a nonempty list of integers", list)
+        if min(counts) < 1:
+            raise ConfigError(f"partition counts must be positive, got {counts}")
+    else:
+        _count(part, "participants")
+    if kind == "image_columns":
+        _count(part, "image_side")
+    return part
+
+
+def _partition(part: _Section, d: int) -> PartitionSpec:
+    """The split that the checked partition section ``part`` gives ``d``
+    columns."""
+    kind = part["kind"]
     if kind == "counts":
-        counts = [int(c) for c in part["counts"]]
+        counts = part["counts"]
         if sum(counts) != d:
             raise ConfigError(f"partition counts sum to {sum(counts)}, "
                               f"dataset has {d}")
-        if min(counts) < 1:
-            raise ConfigError(f"partition counts must be positive, got {counts}")
         return PartitionSpec([cols.tolist() for cols
                               in _split_widths(np.arange(d), counts)])
     if kind == "ratio":
-        return ratio_split(d, float(part["ratio"]))
-    if kind == "image_columns":
-        side = int(part["image_side"])
-        if "counts" in part:
-            return image_column_partition([int(c) for c in part["counts"]], side)
-        return mnist_column_split(int(part["participants"]), side)
-    raise ConfigError(f"unknown partition kind {kind!r}")
+        return ratio_split(d, part["ratio"])
+    if "counts" in part:
+        return image_column_partition(part["counts"], part["image_side"])
+    return mnist_column_split(part["participants"], part["image_side"])
 
 
 def _split(cfg: dict):
@@ -226,8 +248,9 @@ def _prepared(cfg: dict):
     feature matrix never exists; any other data set is freed on return, as
     nothing returned refers to it.
     """
+    part = _partition_settings(cfg)
     ds, test_mask = _split(cfg)
-    spec = _partition(cfg, ds.d)
+    spec = _partition(part, ds.d)
     return (*split_views(ds, spec, test_mask), spec, ds.norm_stats)
 
 
@@ -266,22 +289,44 @@ def _attack_setup(cfg: dict, args):
             np.random.default_rng(cfg["seed"]))
 
 
-def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
-    """The run's synthesis settings; a bounded strategy is bounded by the
-    feature variance of ``train_view_adv`` times ``bound_multiplier``."""
-    sc = dict(_read(cfg, "synthesis"))
-    del sc["n_inputs"]
-    mult = sc.pop("bound_multiplier")
+def _multiplier(section: _Section) -> float:
+    """``section``'s bound multiplier, which must be finite and > 0."""
+    return _setting(section, "bound_multiplier",
+                    lambda v: _is_finite_real(v) and v > 0,
+                    "a finite number > 0", (int, float))
+
+
+def _synthesis_settings(synth: _Section, args):
+    """A synthesis section's ``SynthesisConfig`` and bound multiplier,
+    checked before any data loads. A bounded strategy holds a stand-in
+    bound until ``_bound`` sets its own."""
+    mult = _multiplier(synth)
+    sc = {k: v for k, v in synth.items()
+          if k not in ("n_inputs", "bound_multiplier")}
     if getattr(args, "mode", None):
         sc["mode"] = args.mode
     if getattr(args, "mutation", None):
         sc["strategy"] = args.mutation
+    sc["bound"] = 1.0 if sc.get("strategy") == "bounded" else None
     try:
-        if sc.get("strategy") == "bounded":
-            sc["bound"] = default_bound(train_view_adv, mult)
-        return SynthesisConfig(**sc)
+        return SynthesisConfig(**sc), mult
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synthesis: {exc}") from None
+        raise ConfigError(f"{synth.name}: {exc}") from None
+
+
+def _bound(attack_cfg, mult: float, train_view_adv):
+    """``attack_cfg`` with its stand-in bound, if it holds one, set to the
+    feature variance of ``train_view_adv`` times ``mult``."""
+    if attack_cfg.bound is None:
+        return attack_cfg
+    return replace(attack_cfg, bound=default_bound(train_view_adv, mult))
+
+
+def _synthesis_config(cfg: dict, args, train_view_adv) -> SynthesisConfig:
+    """The run's synthesis settings; a bounded strategy is bounded by the
+    feature variance of ``train_view_adv`` times ``bound_multiplier``."""
+    return _bound(*_synthesis_settings(_read(cfg, "synthesis"), args),
+                  train_view_adv)
 
 
 def _setting(section: _Section, key: str, ok, what: str, types=int):
@@ -359,10 +404,12 @@ def cmd_dominance(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
-    n_inputs = _count(_read(cfg, "synthesis"), "n_inputs")
+    synth = _read(cfg, "synthesis")
+    n_inputs = _count(synth, "n_inputs")
+    scfg, mult = _synthesis_settings(synth, args)
     out = _out_dir(cfg)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
-    scfg = _synthesis_config(cfg, args, train_views[0])
+    scfg = _bound(scfg, mult, train_views[0])
     rows = _sample_rows(rng, adv_test, n_inputs)
     tiny = _tiny_sample(cfg, benign)
     rate, candidates = assessment.success_rate(system, rows, scfg, tiny,
@@ -393,10 +440,12 @@ def _corpus_size(spec) -> int | None:
 
 def cmd_fuzz(cfg: dict, args) -> int:
     out = _out_dir(cfg)
+    section = _read(cfg, "fuzz")
+    mult = _multiplier(section)
     # What is left after the run's own keys are CampaignConfig fields.
-    fz = dict(_read(cfg, "fuzz"))
+    fz = dict(section)
     corpus_spec = fz.pop("corpus")
-    mult = fz.pop("bound_multiplier")
+    del fz["bound_multiplier"]
     budget_mins = fz.pop("budget_mins", None)
     if getattr(args, "budget_mins", None) is not None:
         budget_mins = args.budget_mins
@@ -405,17 +454,18 @@ def cmd_fuzz(cfg: dict, args) -> int:
         raise ConfigError("fuzz: budget_mins must be finite and > 0, "
                           f"got {budget_mins!r}")
     n_corpus = _corpus_size(corpus_spec)
-    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
-    corpus = np.asarray(corpus_spec, dtype=np.float64) if n_corpus is None \
-        else _sample_rows(rng, adv_test, n_corpus)
-    tiny = _tiny_sample(cfg, benign)
     try:
-        camp = CampaignConfig(
-            **fz, bound=default_bound(train_views[0], mult),
+        camp = CampaignConfig(   # its bound is a stand-in until _bound
+            **fz, bound=1.0,
             budget_secs=None if budget_mins is None else 60.0 * budget_mins,
             seed=cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fuzz: {exc}") from None
+    train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
+    camp = _bound(camp, mult, train_views[0])
+    corpus = np.asarray(corpus_spec, dtype=np.float64) if n_corpus is None \
+        else _sample_rows(rng, adv_test, n_corpus)
+    tiny = _tiny_sample(cfg, benign)
     calib = calibrate_saliency(system, train_views)
     result = fuzz_campaign(corpus, system, tiny, camp, benign, calib)
     write_candidates(result.adis, out / "adis.jsonl")
@@ -488,25 +538,33 @@ def cmd_svd(cfg: dict, args) -> int:
         _is_integer(k) and k >= 1 for k in v),
         "a nonempty list of positive integers", list)
     offset = _setting(svd_cfg, "target_offset", lambda v: True, "an integer")
+    scfg, mult = _synthesis_settings(_read(cfg, "synthesis"), args)
     out = _out_dir(cfg)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
-    scfg = _synthesis_config(cfg, args, train_views[0])
+    scfg = _bound(scfg, mult, train_views[0])
     rows = _sample_rows(rng, np.concatenate(benign, axis=1), h)
     x_star = adv_test[int(rng.integers(adv_test.shape[0]))]
     ev = JointEvaluator(system, benign)
     majority, _ = ev.majority_label(x_star)
     target = (majority + offset) % system.n_classes
-    study = assessment.build_perturbation_matrix(system, rows, x_star, scfg,
-                                                 l_target=target)
-    spectrum = assessment.singular_spectrum(study.matrix)
-    baseline = assessment.singular_spectrum(
-        assessment.random_unit_columns(*study.matrix.shape, seed=cfg["seed"]))
+    matrix, mean = assessment.build_perturbation_matrix(system, rows, x_star,
+                                                        scfg, target)
+    # The baseline's columns are uniform on the unit sphere. Each spectrum
+    # is taken on its own: the full SVD's values can differ in the last bits.
+    spectrum = np.linalg.svd(matrix, compute_uv=False)
+    noise = np.random.default_rng(cfg["seed"]).standard_normal(matrix.shape)
+    noise /= np.linalg.norm(noise, axis=0, keepdims=True)
+    baseline = np.linalg.svd(noise, compute_uv=False)
+    u = np.linalg.svd(matrix, full_matrices=False)[0]
     report = assessment.ExperimentReport(
         "svd", {"h": h, "ks": ks, "target": int(target)},
         ["k", "reconstruction_rate"], seed=cfg["seed"])
+    # Each rate is that of the mean mutation projected onto the top-k left
+    # singular directions.
     for k in ks:
-        k = min(k, study.matrix.shape[1])
-        rate = assessment.reconstruct_and_rate(study, k, system, benign)
+        k = min(k, matrix.shape[1])
+        basis = u[:, :k]
+        rate = ev.attack_accuracy(x_star + basis @ (basis.T @ mean), target)
         report.rows.append({"k": k, "reconstruction_rate": rate})
     _write_report(out, "svd", report)
     np.savetxt(out / "singular_values.csv",
@@ -530,31 +588,38 @@ def cmd_sweep(cfg: dict, args) -> int:
     sweep = _read(cfg, "sweep")
     kind = sweep["kind"]
     part = _read(cfg, "partition")
-    side = int(part["image_side"])
+    side = _count(part, "image_side")
     if kind == "ratio":
         listed, columns = "ratios", ["ratio", "accuracy", "dominating_rate_adv",
                                      "dominating_rate_benign",
                                      "synthesis_success"]
         image = part["kind"] == "image_columns"
+        ratios = _setting(sweep, listed, lambda v: all(
+            _is_finite_real(r) and r > 0 for r in v), "a list of numbers > 0",
+            list)
         cells = [(float(r), {"kind": "ratio", "ratio": r} if not image else
                   {"kind": "image_columns", "image_side": side,
                    "counts": [len(c) for c in ratio_split(side, r).columns]})
-                 for r in sweep[listed]]
+                 for r in ratios]
     elif kind == "participants":
         listed, columns = "counts", ["participants", "accuracy",
                                      "dominating_rate", "success_random"]
+        counts = _setting(sweep, listed, lambda v: all(map(_is_integer, v)),
+                          "a list of integers", list)
         # Checks the count alone, before any data is loaded; the default
         # side fits every supported count.
-        for m in sweep[listed]:
+        for m in counts:
             try:
-                mnist_column_split(int(m))
+                mnist_column_split(m)
             except ValueError as exc:
                 raise ConfigError(f"sweep.counts: {exc}") from None
-        cells = [(int(m), {"kind": "image_columns", "image_side": side,
-                           "participants": m}) for m in sweep[listed]]
+        cells = [(m, {"kind": "image_columns", "image_side": side,
+                      "participants": m}) for m in counts]
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     n_dom, n_synth = _count(sweep, "n_dominance"), _count(sweep, "n_synth")
+    synth, mult = _synthesis_settings(_read(sweep, "synthesis", "sweep."),
+                                      args)
     # Only SplitNN cells have the layers of the model section.
     model = _read(cfg, "model") if _read(cfg, "protocol") == "splitnn" else {}
     report = assessment.ExperimentReport(
@@ -568,9 +633,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     for value, partition in cells:
         cell = {**cfg, "partition": partition}
         train_views, test_views, ytr, yte = split_views(
-            ds, _partition(cell, ds.d), test_mask)
-        scfg = _synthesis_config({"synthesis": sweep["synthesis"]}, args,
-                                 train_views[0])
+            ds, _partition(_partition_settings(cell), ds.d), test_mask)
+        scfg = _bound(synth, mult, train_views[0])
         system, _ = _train_system(cell, train_views, ytr, cfg["seed"])
         adv, benign = test_views[0], test_views[1:]
         rates = [assessment.dominating_rate(system, adv[:n_dom], benign,

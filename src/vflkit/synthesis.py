@@ -207,11 +207,13 @@ def _as_benign_views(system: VFLSystem, benign,
 class JointEvaluator:
     """Joint inference of one varying row against fixed rows of the others.
 
-    The one holder of the fixed parties' local passes: a query runs only the
-    varying party's model and ``protocol._joint_trace``. Its two sets of
-    passes are the batched pass over all fixed rows, run at construction,
-    and each fixed row's own single-row pass, run on first use (rows sliced
-    from the batched outputs can differ from it in the last bits). ``join``
+    It holds the fixed parties' local passes over its fixed rows, so a
+    query runs only the varying party's model and ``protocol._joint_trace``.
+    (The synthesis objectives run each round's benign single-row passes
+    themselves, in ``_Objective._benign_locals``.) Its two sets of passes
+    are the batched pass over all fixed rows, run at construction, and each
+    fixed row's own single-row pass, run on first use (rows sliced from the
+    batched outputs can differ from it in the last bits). ``join``
     pairs a varying output with either: all fixed rows, or row ``j``.
     ``adv_index`` selects which participant varies (default: the first, the
     adversary-side party).
