@@ -144,6 +144,10 @@ def load_config(path) -> dict:
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The output directory, created. Each command asks for it once the
+    settings it checks before any data loads have passed, and before the
+    load: a bad setting leaves no directory behind, and a directory that
+    cannot be created stops the command before its work."""
     out = Path(_read(cfg, "output_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -203,7 +207,12 @@ def _partition_settings(cfg: dict) -> _Section:
     else:
         _count(part, "participants")
     if kind == "image_columns":
-        _count(part, "image_side")
+        # An image split needs its side alone, so it is built to be checked.
+        side = _count(part, "image_side")
+        try:
+            _partition(part, side * side)
+        except ValueError as exc:
+            raise ConfigError(f"partition: {exc}") from None
     return part
 
 
@@ -225,9 +234,9 @@ def _partition(part: _Section, d: int) -> PartitionSpec:
     return mnist_column_split(part["participants"], part["image_side"])
 
 
-def _split(cfg: dict):
-    """The dataset and the mask of its stratified test rows. The split
-    settings and ``dataset.n`` are checked before any data is loaded."""
+def _split_settings(cfg: dict):
+    """The test fraction and split seed, checked with ``dataset.n``; no
+    data is needed for that."""
     dspec = _read(cfg, "dataset")
     fraction = _setting(dspec, "test_fraction", lambda v: 0 < v < 1,
                         "a number in (0, 1)", (int, float))
@@ -235,6 +244,13 @@ def _split(cfg: dict):
                     "a non-negative integer")
     if "n" in dspec:
         _count(dspec, "n")
+    return fraction, seed
+
+
+def _split(cfg: dict):
+    """The dataset and the mask of its stratified test rows. The split
+    settings are checked before any data is loaded."""
+    fraction, seed = _split_settings(cfg)
     ds = _load_dataset(cfg)
     return ds, _test_mask(ds.labels, fraction, seed)
 
@@ -271,14 +287,30 @@ def _train_system(cfg: dict, train_views, labels, seed: int):
     raise ConfigError(f"unknown protocol {protocol_name!r}")
 
 
+def _checkpoint_path(cfg: dict, args) -> str:
+    path = getattr(args, "checkpoint", None) or _read(cfg, "checkpoint")
+    if not path:
+        raise ConfigError("a checkpoint path is required (flag or config)")
+    return path
+
+
+def _data_out_dir(cfg: dict, args=None) -> Path:
+    """``_out_dir`` for a command that loads the data set. The partition
+    and split settings, and with ``args`` an attack's checkpoint path, are
+    checked first, and again, at no cost, where they are used."""
+    _partition_settings(cfg)
+    _split_settings(cfg)
+    if args is not None:
+        _checkpoint_path(cfg, args)
+    return _out_dir(cfg)
+
+
 def _attack_setup(cfg: dict, args):
     """What an attack on the checkpoint starts from: the train views, the
     adversary's test view, the benign test views, the trained system and
     the run's seeded rng."""
     train_views, test_views, _, _, _, _ = _prepared(cfg)
-    path = getattr(args, "checkpoint", None) or _read(cfg, "checkpoint")
-    if not path:
-        raise ConfigError("a checkpoint path is required (flag or config)")
+    path = _checkpoint_path(cfg, args)
     try:
         system = load_system(path)
     except FileNotFoundError:
@@ -367,7 +399,7 @@ def _write_report(out: Path, name: str, report, with_csv: bool = True):
 
 
 def cmd_train(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
+    out = _data_out_dir(cfg)
     train_views, test_views, ytr, yte, spec, _ = _prepared(cfg)
     system, history = _train_system(cfg, train_views, ytr, cfg["seed"])
     metrics = evaluate(system, test_views, yte)
@@ -387,7 +419,7 @@ def cmd_dominance(cfg: dict, args) -> int:
     thresholds = _setting(dom, "thresholds", lambda v: v and all(
         _is_finite_real(t) and 0 < t <= 1 for t in v),
         "a nonempty list of numbers in (0, 1]", list)
-    out = _out_dir(cfg)
+    out = _data_out_dir(cfg, args)
     _, adv_test, benign, system, _ = _attack_setup(cfg, args)
     report = assessment.ExperimentReport(
         "dominance", dict(dom), ["threshold", "dominating_rate"],
@@ -407,7 +439,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
     synth = _read(cfg, "synthesis")
     n_inputs = _count(synth, "n_inputs")
     scfg, mult = _synthesis_settings(synth, args)
-    out = _out_dir(cfg)
+    out = _data_out_dir(cfg, args)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     scfg = _bound(scfg, mult, train_views[0])
     rows = _sample_rows(rng, adv_test, n_inputs)
@@ -439,7 +471,6 @@ def _corpus_size(spec) -> int | None:
 
 
 def cmd_fuzz(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     section = _read(cfg, "fuzz")
     mult = _multiplier(section)
     # What is left after the run's own keys are CampaignConfig fields.
@@ -461,6 +492,7 @@ def cmd_fuzz(cfg: dict, args) -> int:
             seed=cfg["seed"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"fuzz: {exc}") from None
+    out = _data_out_dir(cfg, args)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     camp = _bound(camp, mult, train_views[0])
     corpus = np.asarray(corpus_spec, dtype=np.float64) if n_corpus is None \
@@ -490,12 +522,13 @@ def cmd_variance(cfg: dict, args) -> int:
     k = _count(var_cfg, "k")
     em_seed = _setting(var_cfg, "em_seed", lambda v: v >= 0,
                        "a non-negative integer")
-    out = _out_dir(cfg)
     seed = cfg["seed"]
     if "fixture" in var_cfg:
         fx = var_cfg["fixture"]
         sm = ScalarMixture(fx["weights"], fx["mus"], fx["sigmas"])
+        out = _out_dir(cfg)
     else:
+        out = _data_out_dir(cfg, args)
         _, adv_test, benign, system, _ = _attack_setup(cfg, args)
         if system.protocol != "heterolr" or system.output_dim != 1:
             raise ConfigError(
@@ -539,7 +572,7 @@ def cmd_svd(cfg: dict, args) -> int:
         "a nonempty list of positive integers", list)
     offset = _setting(svd_cfg, "target_offset", lambda v: True, "an integer")
     scfg, mult = _synthesis_settings(_read(cfg, "synthesis"), args)
-    out = _out_dir(cfg)
+    out = _data_out_dir(cfg, args)
     train_views, adv_test, benign, system, rng = _attack_setup(cfg, args)
     scfg = _bound(scfg, mult, train_views[0])
     rows = _sample_rows(rng, np.concatenate(benign, axis=1), h)
@@ -584,7 +617,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     trained at the config seed; both rates use the ``sweep.synthesis``
     settings and threshold."""
     t0 = time.time()
-    out = _out_dir(cfg)
     sweep = _read(cfg, "sweep")
     kind = sweep["kind"]
     part = _read(cfg, "partition")
@@ -606,13 +638,6 @@ def cmd_sweep(cfg: dict, args) -> int:
                                      "dominating_rate", "success_random"]
         counts = _setting(sweep, listed, lambda v: all(map(_is_integer, v)),
                           "a list of integers", list)
-        # Checks the count alone, before any data is loaded; the default
-        # side fits every supported count.
-        for m in counts:
-            try:
-                mnist_column_split(m)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.counts: {exc}") from None
         cells = [(m, {"kind": "image_columns", "image_side": side,
                       "participants": m}) for m in counts]
     else:
@@ -627,13 +652,21 @@ def cmd_sweep(cfg: dict, args) -> int:
         {listed: list(sweep[listed]), "n_dominance": n_dom, "n_synth": n_synth,
          "train": {**model, **_read(cfg, "train")}},
         columns, seed=cfg["seed"])
+    # Each cell's partition is checked before the data set loads.
+    try:
+        parts = [_partition_settings({**cfg, "partition": partition})
+                 for _, partition in cells]
+    except ConfigError as exc:
+        raise ConfigError(f"sweep.{listed}: {exc}") from None
+    _split_settings(cfg)
+    out = _out_dir(cfg)
     ds, test_mask = _split(cfg)
     if isinstance(ds, RowBlocks):           # every cell splits it anew
         ds = ds.dataset()
-    for value, partition in cells:
+    for (value, partition), part in zip(cells, parts):
         cell = {**cfg, "partition": partition}
         train_views, test_views, ytr, yte = split_views(
-            ds, _partition(_partition_settings(cell), ds.d), test_mask)
+            ds, _partition(part, ds.d), test_mask)
         scfg = _bound(synth, mult, train_views[0])
         system, _ = _train_system(cell, train_views, ytr, cfg["seed"])
         adv, benign = test_views[0], test_views[1:]

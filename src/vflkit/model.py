@@ -161,6 +161,50 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return ex
 
 
+def _class_sums(t: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of a (c, n) block, in the order numpy sums a
+    contiguous last axis, so ``_class_sums(x.T)`` has the bytes of
+    ``x.sum(axis=-1)`` for C-ordered or strided ``x``: under 8 terms one
+    after the other; up to 128 in eight interleaved partial sums, combined
+    as ((0+1)+(2+3))+((4+5)+(6+7)), then the terms left over one by one;
+    beyond that, the halves split at a multiple of 8. Each step adds whole
+    rows. Numpy's sum starts at +0.0, which can only turn a -0.0 sum into
+    +0.0; the +0.0 added to the first terms does the same."""
+    c = t.shape[0]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sums(t[:half]) + _class_sums(t[half:])
+    if c < 8:
+        total = t[0] + 0.0
+        for row in t[1:]:
+            total += row
+        return total
+    acc = t[:8] + 0.0
+    whole = c - c % 8
+    for start in range(8, whole, 8):
+        acc += t[start:start + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for row in t[whole:]:
+        total += row
+    return total
+
+
+def _softmax_classes(x: np.ndarray) -> np.ndarray:
+    """``_softmax`` of (n, c) logits as a fresh class-major (c, n) block:
+    its transpose has ``_softmax(x)``'s bytes. Every reduction runs over
+    contiguous (n,) class rows rather than n short rows, which pays for the
+    transposing copy once n is in the hundreds. ``x.T.copy()`` always
+    copies; ``np.ascontiguousarray(x.T)`` would return a view of ``x`` for
+    n = 1 or c = 1, and the kernel would write over the caller's logits."""
+    t = x.T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    t /= _class_sums(t)
+    return t
+
+
 def _layer_forward(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     if layer.kind == "linear":
         z = x @ layer.weights.T

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .model import (LocalModel, as_matrix, as_vector, forward, _forward,
-                    _forward_fresh, _forward_untraced, _is_finite_real,
-                    _is_integer, _split_widths)
+from .model import (LocalModel, as_matrix, as_vector, forward, _class_sums,
+                    _forward, _forward_fresh, _forward_untraced,
+                    _is_finite_real, _is_integer, _softmax_classes,
+                    _split_widths)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
                        party_input_grads, _joint_trace, _JointTrace, _labels)
 
@@ -157,10 +158,24 @@ def read_candidates(path) -> list[AdiCandidate]:
 
 def _spread_rows(probs: np.ndarray) -> np.ndarray:
     """Each row's spread: component variance, or the scalar itself for
-    one-dimensional outputs."""
-    if probs.shape[1] == 1:
+    one-dimensional outputs.
+
+    The bytes of ``np.var(probs, axis=1)`` on C-ordered probabilities, for
+    ``probs`` in any order. Large blackbox query batches come back as the
+    transpose of a class-major block, and ``np.var`` would sum that
+    F-ordered array's rows one term after another; their sums run over
+    class rows of ``probs.T`` in ``_class_sums``, which takes numpy's order
+    for a contiguous row. C-ordered probabilities keep ``np.var``, which
+    is the faster of the two on batches of a few dozen rows.
+    """
+    c = probs.shape[1]
+    if c == 1:
         return probs[:, 0]
-    return np.var(probs, axis=1)
+    if probs.flags.c_contiguous:
+        return np.var(probs, axis=1)
+    dev = probs.T - _class_sums(probs.T) / c
+    dev *= dev
+    return _class_sums(dev) / c
 
 
 def spread_grad(probs: np.ndarray) -> np.ndarray:
@@ -511,12 +526,18 @@ class _Blackbox(_Objective):
     over ``joint_forward`` on the same rows up to rounding.
 
     Each batch is one untraced ``_coordinator_forward`` call, which is
-    where the tests count queries. Each local block is built once: the
-    adversary's once per distinct row per inner step (keyed on its value)
-    for the row's four batches, the benign rows' when the round's objective
-    is built, for every row. Fixed parties' single-row outputs join a batch
-    as broadcast views. An (R, d) block of rows with (R,) labels runs each
-    row's batches in turn.
+    where the tests count queries. Under a SplitNN softmax head, a batch
+    of ``_CLASS_MAJOR_ROWS`` rows or more (d+1 is 393 on digit halves)
+    comes back as the transpose of a class-major (c, d+1) block, so that
+    the softmax, the loss's class column and the spread's sums over
+    classes each read contiguous class rows of d+1 entries rather than
+    d+1 rows of c; the bytes are those of the row-major pass.
+
+    Each local block is built once: the adversary's once per distinct row
+    per inner step (keyed on its value) for the row's four batches, the
+    benign rows' when the round's objective is built, for every row. Fixed
+    parties' single-row outputs join a batch as broadcast views. An (R, d)
+    block of rows with (R,) labels runs each row's batches in turn.
 
     Each distinct row value is answered once per round, its loss once per
     label: the gradients are kept beside its adversary block, so a row
@@ -597,10 +618,42 @@ class _Blackbox(_Objective):
         return (vals[1:] - vals[0]) / self.cfg.fdm_step
 
 
+# From this many rows on, a query batch's softmax runs class-major. Per
+# batch on 10 classes, the softmax with the spread or the loss costs the
+# same either way at 128 rows; below that the transposing copy and the
+# class sums' calls cost more than the short rows save (2 rows: 24 against
+# 13 us), above it less (393 rows: 53 against 80 us). On 2 classes the two
+# meet near 32 rows. (Measured with numpy 2.4's AVX-512 kernels on a
+# 2-vCPU x86 VM.)
+_CLASS_MAJOR_ROWS = 128
+
+
 def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
-    """One blackbox query batch: ``protocol._coordinator_forward`` on the
-    parties' local output blocks, a SplitNN top model run untraced."""
-    return protocol._coordinator_forward(system, locals_, _forward_untraced)
+    """One blackbox query batch: the probabilities of
+    ``protocol._coordinator_forward`` on the parties' (m, w) local output
+    blocks, with a SplitNN top model run untraced.
+
+    Under a softmax head and for m of at least ``_CLASS_MAJOR_ROWS``, the
+    logits go to ``_softmax_classes`` and the probabilities come back as
+    the transpose of its class-major (c, m) block, an F-ordered (m, c)
+    array with the same bytes: a batch is d+1 rows, hundreds on image
+    data, and each class's reductions then run over one contiguous row
+    instead of m rows of c entries. The callers read class columns
+    (``_loss_rows``) or sum over classes (``_spread_rows``). Smaller
+    batches and any other coordinator take the protocol's pass.
+    """
+    top = system.coordinator.top_model
+    if top is None or top.layers[-1].kind != "softmax" \
+            or locals_[0].shape[0] < _CLASS_MAJOR_ROWS:
+        return protocol._coordinator_forward(system, locals_,
+                                             _forward_untraced)
+    # The joined block is fresh, so each ReLU may run in place on it. As in
+    # _forward_untraced it is C-ordered: np.concatenate keeps the layout of
+    # an F-ordered block (a one-layer local model's forward differences
+    # make one), and the first product's bytes depend on the layout.
+    joined = np.ascontiguousarray(np.concatenate(locals_, axis=-1))
+    logits = _forward_fresh(top.layers[:-1], joined)
+    return _softmax_classes(logits).T, None
 
 
 def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:

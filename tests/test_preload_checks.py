@@ -55,7 +55,10 @@ def _fails_before_loading(tmp_path, capsys, monkeypatch, command, doc,
     (DIGITS, {"counts": [14.5, "14"]}, "partition: counts must be"),
     (DIGITS, {"counts": [-1, 29]}, "partition counts must be positive"),
     (DIGITS, {"image_side": 28.0}, "partition: image_side must be"),
-    (DIGITS, {"image_side": 0}, "partition: image_side must be")])
+    (DIGITS, {"image_side": 0}, "partition: image_side must be"),
+    (DIGITS, {"counts": [14, 13]}, "partition: column counts must sum to 28"),
+    (DIGITS, {"participants": 4}, "partition: unsupported participant count 4"),
+    (DIGITS, {"image_side": 20}, "partition: column counts must sum to 20")])
 def test_bad_partition_setting(tmp_path, capsys, monkeypatch, base, keys,
                                start):
     doc = {**base, "partition": {**base["partition"], **keys}}
@@ -98,6 +101,47 @@ def test_bad_attack_setting(tmp_path, capsys, monkeypatch, command, section,
                             keys, start):
     doc = {**CREDIT, section: keys}
     _fails_before_loading(tmp_path, capsys, monkeypatch, command, doc, start)
+
+
+# A command creates its output directory only once every setting it reads
+# has been checked.
+@pytest.mark.parametrize("command, section, keys, start", [
+    ("train", "partition", {"counts": [0, 23]},
+     "partition counts must be positive"),
+    ("dominance", "partition", {"counts": [0, 23]},
+     "partition counts must be positive"),
+    ("synthesize", "partition", {"counts": [0, 23]},
+     "partition counts must be positive"),
+    ("fuzz", "fuzz", {"energy": 0}, "fuzz: energy must be"),
+    ("variance", "partition", {"counts": [0, 23]},
+     "partition counts must be positive"),
+    ("svd", "partition", {"counts": [0, 23]},
+     "partition counts must be positive"),
+    ("sweep", "sweep", {"n_synth": 0}, "sweep: n_synth must be")])
+def test_bad_setting_leaves_no_output_dir(tmp_path, capsys, monkeypatch,
+                                          command, section, keys, start):
+    doc = {**CREDIT, section: {**CREDIT.get(section, {}), **keys}}
+    _fails_before_loading(tmp_path, capsys, monkeypatch, command, doc, start)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "dominance", "synthesize",
+                                     "fuzz", "variance", "svd", "sweep"])
+def test_output_dir_in_the_way_stops_before_loading(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # The directory is created before the data loads, so a file in its
+    # place stops the command before any work.
+    loaded = []
+    monkeypatch.setattr(cli, "_load_dataset", loaded.append)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CREDIT), encoding="utf-8")
+    (tmp_path / "out").write_text("", encoding="utf-8")
+    code = cli.main([command, str(path), "--output-dir", str(tmp_path / "out"),
+                     "--checkpoint", str(tmp_path / "checkpoint.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: "), err
+    assert not loaded
 
 
 @pytest.mark.parametrize("name, d, widths", [
