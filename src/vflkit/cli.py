@@ -208,17 +208,16 @@ def _partition_settings(cfg: dict) -> _Section:
         _count(part, "participants")
     if kind == "image_columns":
         # An image split needs its side alone, so it is built to be checked.
-        side = _count(part, "image_side")
-        try:
-            _partition(part, side * side)
-        except ValueError as exc:
-            raise ConfigError(f"partition: {exc}") from None
+        _partition(part, _count(part, "image_side") ** 2)
     return part
 
 
-def _partition(part: _Section, d: int) -> PartitionSpec:
+def _partition(part: _Section, d: int,
+               key: str = "partition") -> PartitionSpec:
     """The split that the checked partition section ``part`` gives ``d``
-    columns."""
+    columns. A split the data module refuses (a ratio that leaves a party
+    no column, image columns that do not fill the side) is a configuration
+    error naming ``key``, the setting that gave it."""
     kind = part["kind"]
     if kind == "counts":
         counts = part["counts"]
@@ -227,11 +226,14 @@ def _partition(part: _Section, d: int) -> PartitionSpec:
                               f"dataset has {d}")
         return PartitionSpec([cols.tolist() for cols
                               in _split_widths(np.arange(d), counts)])
-    if kind == "ratio":
-        return ratio_split(d, part["ratio"])
-    if "counts" in part:
-        return image_column_partition(part["counts"], part["image_side"])
-    return mnist_column_split(part["participants"], part["image_side"])
+    try:
+        if kind == "ratio":
+            return ratio_split(d, part["ratio"])
+        if "counts" in part:
+            return image_column_partition(part["counts"], part["image_side"])
+        return mnist_column_split(part["participants"], part["image_side"])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _split_settings(cfg: dict):
@@ -625,14 +627,15 @@ def cmd_sweep(cfg: dict, args) -> int:
         listed, columns = "ratios", ["ratio", "accuracy", "dominating_rate_adv",
                                      "dominating_rate_benign",
                                      "synthesis_success"]
-        image = part["kind"] == "image_columns"
         ratios = _setting(sweep, listed, lambda v: all(
             _is_finite_real(r) and r > 0 for r in v), "a list of numbers > 0",
             list)
-        cells = [(float(r), {"kind": "ratio", "ratio": r} if not image else
-                  {"kind": "image_columns", "image_side": side,
-                   "counts": [len(c) for c in ratio_split(side, r).columns]})
-                 for r in ratios]
+        cells = [(float(r), {"kind": "ratio", "ratio": r}) for r in ratios]
+        if part["kind"] == "image_columns":
+            cells = [(r, {"kind": "image_columns", "image_side": side,
+                          "counts": [len(c) for c in _partition(
+                              cell, side, "sweep.ratios").columns]})
+                     for r, cell in cells]
     elif kind == "participants":
         listed, columns = "counts", ["participants", "accuracy",
                                      "dominating_rate", "success_random"]
@@ -663,10 +666,11 @@ def cmd_sweep(cfg: dict, args) -> int:
     ds, test_mask = _split(cfg)
     if isinstance(ds, RowBlocks):           # every cell splits it anew
         ds = ds.dataset()
-    for (value, partition), part in zip(cells, parts):
+    # Every cell is split before the first one trains.
+    specs = [_partition(part, ds.d, f"sweep.{listed}") for part in parts]
+    for (value, partition), spec in zip(cells, specs):
         cell = {**cfg, "partition": partition}
-        train_views, test_views, ytr, yte = split_views(
-            ds, _partition(part, ds.d), test_mask)
+        train_views, test_views, ytr, yte = split_views(ds, spec, test_mask)
         scfg = _bound(synth, mult, train_views[0])
         system, _ = _train_system(cell, train_views, ytr, cfg["seed"])
         adv, benign = test_views[0], test_views[1:]

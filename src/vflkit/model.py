@@ -234,13 +234,13 @@ def _forward(model: LocalModel, x: np.ndarray):
 
 
 def _forward_untraced(model: LocalModel, x: np.ndarray):
-    """``_forward``'s output bytes, keeping no layer input: (output, None).
+    """``_forward``'s output bytes, keeping no layer input.
 
     The first layer makes a fresh array, so every later ReLU runs in place
     on an array this pass made; the caller's ``x`` is never written to.
     """
     first = _layer_forward(model.layers[0], np.ascontiguousarray(x))
-    return _forward_fresh(model.layers[1:], first), None
+    return _forward_fresh(model.layers[1:], first)
 
 
 def _forward_fresh(layers, x: np.ndarray) -> np.ndarray:

@@ -13,20 +13,22 @@ The coordinator's passes, like the local models' (see ``model``), also take
 (..., m, k) stacks of local outputs; they join and split them on the last
 axis.
 
-Every joint inference runs ``_joint_trace``: the coordinator's pass over the
-parties' local outputs in party order. A party's single row pairs with each
+Every traced joint inference runs ``_joint_trace``: the coordinator's pass
+over the parties' local outputs in party order. A party's single row pairs with each
 of the others' rows; the SplitNN head broadcasts it before concatenating,
 the HeteroLR head's sum broadcasts it by itself.
 
 As in ``model``, the public passes check their input (views, output
 gradient, probabilities); the cores ``_coordinator_backward`` and
 ``_labels`` trust their caller, and so does ``party_input_grads``. The
-coordinator's forward runs the SplitNN top model on ``model._forward``: its
-input is joined from local outputs the package computed. Only
-``joint_forward`` runs every model, the top one included, through the
-public ``model.forward``, where the benchmark's span tracer counts them.
-``joint_inference``, which only reads the probabilities, runs the same
-layer passes on ``model._forward_untraced`` and keeps no layer input.
+coordinator has two forward passes. ``_coordinator_forward`` keeps the
+SplitNN top model's trace, on ``model._forward``: its input is joined from
+local outputs the package computed. Only ``joint_forward`` runs every
+model, the top one included, through the public ``model.forward``, where
+the benchmark's span tracer counts them. ``_coordinator_probs`` keeps no
+layer input. Every joint inference that only reads the probabilities runs
+it: ``joint_inference``, and each blackbox query batch of ``synthesis``,
+where the tests count queries.
 
 Training (``_fit``) checks its views once. Its batches then run on the
 cores: ``_forward`` per party, ``_joint_trace``, ``_coordinator_backward``
@@ -45,8 +47,9 @@ import numpy as np
 from .data import PartitionSpec
 from .model import (LocalModel, SgdMomentum, as_matrix, forward, init_model,
                     model_from_dict, model_to_dict, _activation_grad,
-                    _backward, _forward, _forward_untraced, _is_finite_real,
-                    _is_integer, _sigmoid, _softmax, _split_widths)
+                    _backward, _forward, _forward_fresh, _forward_untraced,
+                    _is_finite_real, _is_integer, _sigmoid, _softmax,
+                    _softmax_classes, _split_widths)
 
 SYSTEM_CHECKPOINT_VERSION = 1
 
@@ -145,6 +148,38 @@ def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray],
     return top_forward(coord.top_model, np.concatenate(locals_, axis=-1))
 
 
+# From this many rows on, a batch's softmax runs class-major. Per batch on
+# 10 classes, the softmax with the spread or the loss costs the same either
+# way at 128 rows; below that the transposing copy and the class sums'
+# calls cost more than the short rows save (2 rows: 24 against 13 us),
+# above it less (393 rows: 53 against 80 us). On 2 classes the two meet
+# near 32 rows. (Measured with numpy 2.4's AVX-512 kernels on a 2-vCPU x86
+# VM.)
+_CLASS_MAJOR_ROWS = 128
+
+
+def _coordinator_probs(system: VFLSystem,
+                       locals_: list[np.ndarray]) -> np.ndarray:
+    """``_coordinator_forward``'s probability bytes on the parties' (m, w)
+    local outputs, keeping no layer input. Under a SplitNN softmax head
+    and for m of at least ``_CLASS_MAJOR_ROWS``, they come back as the
+    transpose of ``_softmax_classes``'s (c, m) block, an F-ordered (m, c)
+    array whose class columns and sums over classes read contiguous rows:
+    a blackbox query batch is d+1 rows, hundreds on image data."""
+    coord = system.coordinator
+    if coord.kind == "heterolr":
+        return _coordinator_forward(system, locals_)[0]
+    # The joined block is fresh, so each ReLU may run in place on it. It is
+    # C-ordered: np.concatenate keeps the layout of an F-ordered block (a
+    # one-layer local model's forward differences make one), and the first
+    # product's bytes depend on the layout.
+    joined = np.ascontiguousarray(np.concatenate(locals_, axis=-1))
+    top = coord.top_model
+    if top.layers[-1].kind == "softmax" and len(joined) >= _CLASS_MAJOR_ROWS:
+        return _softmax_classes(_forward_fresh(top.layers[:-1], joined)).T
+    return _forward_untraced(top, joined)
+
+
 def _joint_trace(system: VFLSystem, passes: list,
                  top_forward=_forward) -> _JointTrace:
     """Joint trace of the parties' local (output, trace) ``passes``, the
@@ -169,14 +204,15 @@ def joint_forward(system: VFLSystem, views) -> _JointTrace:
 
 
 def joint_inference(system: VFLSystem, views) -> np.ndarray:
-    """Class probabilities: (n, 1) sigmoid output or (n, C) softmax rows.
-    ``joint_forward``'s probabilities, from the same layer passes in the
-    same order, but no layer input outlives its layer."""
+    """Class probabilities: (n, 1) sigmoid output or (n, C) softmax rows,
+    ``joint_forward``'s from the same layer passes, keeping no layer input.
+    From ``_CLASS_MAJOR_ROWS`` rows on, a SplitNN softmax result is
+    F-ordered (see ``_coordinator_probs``): a sum or variance over its
+    classes may differ in the last bit from one on a C-ordered copy."""
     views = _check_views(system, views)
-    return _joint_trace(system, [_forward_untraced(part.model, view)
-                                 for part, view in zip(system.participants,
-                                                       views)],
-                        _forward_untraced).probs
+    return _coordinator_probs(system, [_forward_untraced(part.model, view)
+                                       for part, view in
+                                       zip(system.participants, views)])
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:

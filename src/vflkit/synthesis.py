@@ -13,10 +13,12 @@ finite differences, d+1 joint inferences per gradient in d inputs. The
 simulation answers each such batch from its structure (one perturbed
 coordinate per row) rather than row by row; ``fdm_gradient`` over
 ``joint_forward`` is the reference estimator it is tested against. Every
-such batch reaches the coordinator as one ``_coordinator_forward`` call,
-which runs the top model untraced: the blackbox never backpropagates, so
-no layer input is kept and each ReLU runs in place. That call is the
-chokepoint where the tests count and record the blackbox's queries.
+such batch reaches the coordinator as one call of
+``protocol._coordinator_probs``, the untraced one of its two passes, which
+``joint_inference`` runs too (the whitebox backpropagates through the
+traced ``_coordinator_forward``): no layer input is kept and each ReLU
+runs in place. That call, under the name imported here, is the chokepoint
+where the tests count and record the blackbox's queries.
 
 Several adversary rows are synthesised in lockstep: at round t every row
 descends against the same benign row, so each round's objective takes an
@@ -36,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import protocol
 from .model import (LocalModel, as_matrix, as_vector, forward, _class_sums,
-                    _forward, _forward_fresh, _forward_untraced,
-                    _is_finite_real, _is_integer, _softmax_classes,
+                    _forward, _forward_fresh, _is_finite_real, _is_integer,
                     _split_widths)
 from .protocol import (VFLSystem, joint_backward, joint_forward,
-                       party_input_grads, _joint_trace, _JointTrace, _labels)
+                       party_input_grads, _coordinator_probs, _joint_trace,
+                       _JointTrace, _labels)
 
 BOUND_FLOOR = 1e-6
 
@@ -368,13 +369,9 @@ def _benign_spread_fdm(system: VFLSystem, x_adv: np.ndarray,
     widths = [r.shape[0] for r in benign_rows]
 
     def spread_batch(rows):
-        m = rows.shape[0]
-        views = [np.repeat(x_adv[None, :], m, axis=0)]
-        offset = 0
-        for w in widths:
-            views.append(rows[:, offset:offset + w])
-            offset += w
-        return _spread_rows(joint_forward(system, views).probs)
+        views = [np.repeat(x_adv[None, :], rows.shape[0], axis=0)]
+        return _spread_rows(joint_forward(
+            system, views + _split_widths(rows, widths)).probs)
 
     return fdm_gradient(spread_batch, np.concatenate(benign_rows), delta)
 
@@ -525,13 +522,13 @@ class _Blackbox(_Objective):
     row by row (``_fd_local_outputs``); the answers match ``fdm_gradient``
     over ``joint_forward`` on the same rows up to rounding.
 
-    Each batch is one untraced ``_coordinator_forward`` call, which is
-    where the tests count queries. Under a SplitNN softmax head, a batch
-    of ``_CLASS_MAJOR_ROWS`` rows or more (d+1 is 393 on digit halves)
-    comes back as the transpose of a class-major (c, d+1) block, so that
-    the softmax, the loss's class column and the spread's sums over
-    classes each read contiguous class rows of d+1 entries rather than
-    d+1 rows of c; the bytes are those of the row-major pass.
+    Each batch is one call of the untraced ``protocol._coordinator_probs``,
+    which is where the tests count queries. Under a SplitNN softmax head,
+    a batch of ``protocol._CLASS_MAJOR_ROWS`` rows or more (d+1 is 393 on
+    digit halves) comes back as the transpose of a class-major (c, d+1)
+    block, so that the softmax, the loss's class column and the spread's
+    sums over classes each read contiguous class rows of d+1 entries
+    rather than d+1 rows of c; the bytes are those of the row-major pass.
 
     Each local block is built once: the adversary's once per distinct row
     per inner step (keyed on its value) for the row's four batches, the
@@ -612,48 +609,10 @@ class _Blackbox(_Objective):
         """Forward-difference gradient of ``fn`` (joint output rows to
         scalars) from each party's (d+1)-row block or single row."""
         m = max(out.shape[0] for out in outs)
-        vals = fn(_coordinator_forward(
+        vals = fn(_coordinator_probs(
             self.system, [np.broadcast_to(out, (m, out.shape[1]))
-                          for out in outs])[0])
+                          for out in outs]))
         return (vals[1:] - vals[0]) / self.cfg.fdm_step
-
-
-# From this many rows on, a query batch's softmax runs class-major. Per
-# batch on 10 classes, the softmax with the spread or the loss costs the
-# same either way at 128 rows; below that the transposing copy and the
-# class sums' calls cost more than the short rows save (2 rows: 24 against
-# 13 us), above it less (393 rows: 53 against 80 us). On 2 classes the two
-# meet near 32 rows. (Measured with numpy 2.4's AVX-512 kernels on a
-# 2-vCPU x86 VM.)
-_CLASS_MAJOR_ROWS = 128
-
-
-def _coordinator_forward(system: VFLSystem, locals_: list[np.ndarray]):
-    """One blackbox query batch: the probabilities of
-    ``protocol._coordinator_forward`` on the parties' (m, w) local output
-    blocks, with a SplitNN top model run untraced.
-
-    Under a softmax head and for m of at least ``_CLASS_MAJOR_ROWS``, the
-    logits go to ``_softmax_classes`` and the probabilities come back as
-    the transpose of its class-major (c, m) block, an F-ordered (m, c)
-    array with the same bytes: a batch is d+1 rows, hundreds on image
-    data, and each class's reductions then run over one contiguous row
-    instead of m rows of c entries. The callers read class columns
-    (``_loss_rows``) or sum over classes (``_spread_rows``). Smaller
-    batches and any other coordinator take the protocol's pass.
-    """
-    top = system.coordinator.top_model
-    if top is None or top.layers[-1].kind != "softmax" \
-            or locals_[0].shape[0] < _CLASS_MAJOR_ROWS:
-        return protocol._coordinator_forward(system, locals_,
-                                             _forward_untraced)
-    # The joined block is fresh, so each ReLU may run in place on it. As in
-    # _forward_untraced it is C-ordered: np.concatenate keeps the layout of
-    # an F-ordered block (a one-layer local model's forward differences
-    # make one), and the first product's bytes depend on the layout.
-    joined = np.ascontiguousarray(np.concatenate(locals_, axis=-1))
-    logits = _forward_fresh(top.layers[:-1], joined)
-    return _softmax_classes(logits).T, None
 
 
 def _fd_local_outputs(model: LocalModel, x, delta: float) -> np.ndarray:

@@ -45,7 +45,7 @@ class RecomputingBlackbox(_Objective):
             block[offset:offset + x.shape[0]] = out[1:]
             offset += x.shape[0]
             blocks.append(block)
-        vals = fn(synthesis._coordinator_forward(self.system, blocks)[0])
+        vals = fn(synthesis._coordinator_probs(self.system, blocks))
         return (vals[1:] - vals[0]) / delta
 
     def loss_grad(self, x_adv):
@@ -224,13 +224,13 @@ class TestWorkCount:
         targets = np.arange(R) % 3
         cfg = SynthesisConfig(mode="blackbox", inner_steps=2)
         shapes = []
-        real = synthesis._coordinator_forward
+        real = synthesis._coordinator_probs
 
         def counting(system, locals_):
             shapes.append([out.shape for out in locals_])
             return real(system, locals_)
 
-        monkeypatch.setattr(synthesis, "_coordinator_forward", counting)
+        monkeypatch.setattr(synthesis, "_coordinator_probs", counting)
         batches = []
         for grads in (_objective_grads(system, rows, targets, cfg),
                       EachRow(system, rows, targets, cfg)):
@@ -282,14 +282,14 @@ def _saturated_row(system, views):
 def _batch_digests(monkeypatch):
     """The bytes of every batch the coordinator is asked, in order."""
     seen = []
-    real = synthesis._coordinator_forward
+    real = synthesis._coordinator_probs
 
     def recording(system, locals_):
         seen.append(b"".join(np.ascontiguousarray(out).tobytes()
                              for out in locals_))
         return real(system, locals_)
 
-    monkeypatch.setattr(synthesis, "_coordinator_forward", recording)
+    monkeypatch.setattr(synthesis, "_coordinator_probs", recording)
     return seen
 
 

@@ -1,6 +1,6 @@
 """Class-major reductions keep numpy's bytes.
 
-The blackbox query chokepoint, ``synthesis._coordinator_forward``, runs a
+The blackbox query chokepoint, ``protocol._coordinator_probs``, runs a
 SplitNN softmax head on a batch of 128 rows or more as
 ``model._softmax_classes``: the logits are copied into a (c, n) block and
 every reduction runs over its contiguous class rows.
@@ -17,7 +17,8 @@ import pytest
 from vflkit import protocol, synthesis
 from vflkit.model import (LayerSpec, LocalModel, init_model, _class_sums,
                           _softmax, _softmax_classes)
-from vflkit.protocol import Coordinator, Participant, VFLSystem
+from vflkit.protocol import (Coordinator, Participant, VFLSystem,
+                             joint_inference)
 
 # Both sides of each switch in _class_sums's order: 7, 8 and 9 terms, 127,
 # 128 and 129, and the splits past 128 (136, 257).
@@ -114,16 +115,19 @@ def _splitnn(seed=3):
 @pytest.mark.parametrize("m", [12, 127, 128, 393])
 def test_chokepoint_goes_class_major_from_128_rows(m):
     # tests/test_untraced_forward.py pins the chokepoint's bytes; this pins
-    # which kernel answers: the row-major softmax below _CLASS_MAJOR_ROWS,
-    # the transpose of a class-major block from there on.
+    # which kernel answers, for a blackbox query batch and for
+    # joint_inference: the row-major softmax below _CLASS_MAJOR_ROWS, the
+    # transpose of a class-major block from there on.
     system = _splitnn()
     rng = np.random.default_rng(m)
     locals_ = [rng.standard_normal((m, 4)),
                np.broadcast_to(rng.standard_normal((1, 4)), (m, 4))]
-    probs = synthesis._coordinator_forward(system, locals_)[0]
-    assert synthesis._CLASS_MAJOR_ROWS == 128
-    assert probs.T.flags.c_contiguous == (m >= 128)
-    assert probs.flags.c_contiguous == (m < 128)
+    views = [rng.standard_normal((m, 6)), rng.standard_normal((m, 5))]
+    assert protocol._CLASS_MAJOR_ROWS == 128
+    for probs in (synthesis._coordinator_probs(system, locals_),
+                  joint_inference(system, views)):
+        assert probs.T.flags.c_contiguous == (m >= 128)
+        assert probs.flags.c_contiguous == (m < 128)
 
 
 @pytest.mark.parametrize("d", [13, 30, 392])
@@ -133,7 +137,7 @@ def test_chokepoint_bytes_for_f_ordered_block(monkeypatch, d):
     # first product must still see C-ordered rows. On few rows the BLAS
     # product's bytes depend on that layout, so the class-major kernel is
     # made to answer every batch here.
-    monkeypatch.setattr(synthesis, "_CLASS_MAJOR_ROWS", 1)
+    monkeypatch.setattr(protocol, "_CLASS_MAJOR_ROWS", 1)
     parts = [Participant("P0", list(range(d)), init_model([d, 32], seed=1)),
              Participant("P1", [d], init_model([1, 32], seed=2))]
     top = init_model([64, 32, 10], head="softmax", seed=3)
@@ -145,7 +149,7 @@ def test_chokepoint_bytes_for_f_ordered_block(monkeypatch, d):
     fixed = parts[1].model.layers[0]
     row = rng.standard_normal((1, 1)) @ fixed.weights.T + fixed.bias
     locals_ = [block, np.broadcast_to(row, (d + 1, 32))]
-    probs = synthesis._coordinator_forward(system, locals_)[0]
+    probs = synthesis._coordinator_probs(system, locals_)
     assert probs.T.flags.c_contiguous
     _same_bytes(probs, protocol._coordinator_forward(system, locals_)[0])
 
@@ -160,7 +164,7 @@ def test_chokepoint_head_without_hidden_layers():
     locals_ = [np.random.default_rng(i).standard_normal((128, 4))
                for i in range(2)]
     before = [out.tobytes() for out in locals_]
-    probs = synthesis._coordinator_forward(system, locals_)[0]
+    probs = synthesis._coordinator_probs(system, locals_)
     assert probs.T.flags.c_contiguous
     _same_bytes(probs, protocol._coordinator_forward(system, locals_)[0])
     assert [out.tobytes() for out in locals_] == before

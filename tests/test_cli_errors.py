@@ -53,6 +53,12 @@ _CASES = {
                        "got [-1, 24]\n"),
     "zero count": (_with("partition", counts=[0, 23]), "train", (), 1,
                    "config error: partition counts must be positive"),
+    "empty ratio party": (_with("partition", kind="ratio", ratio=0.01),
+                          "train", (), 1, "config error: partition: ratio "
+                          "0.01 leaves an empty partition for d=23\n"),
+    "empty sweep ratio party": (_with("sweep", ratios=[1.0, 0.01]), "sweep",
+                                (), 1, "config error: sweep.ratios: ratio "
+                                "0.01 leaves an empty partition for d=23\n"),
     "no checkpoint": (json.dumps(CREDIT), "dominance", (), 1,
                       "config error: a checkpoint path is required"),
     "checkpoint not found": (json.dumps(CREDIT), "dominance",

@@ -125,6 +125,17 @@ def test_bad_setting_leaves_no_output_dir(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def test_image_sweep_ratio_leaving_a_party_empty(tmp_path, capsys,
+                                                 monkeypatch):
+    # An image cell's split needs the image side alone, so a ratio that
+    # leaves a party no column stops the sweep before the data loads.
+    doc = {**DIGITS, "sweep": {"ratios": [1.0, 0.01]}}
+    _fails_before_loading(tmp_path, capsys, monkeypatch, "sweep", doc,
+                          "sweep.ratios: ratio 0.01 leaves an empty "
+                          "partition for d=28\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "dominance", "synthesize",
                                      "fuzz", "variance", "svd", "sweep"])
 def test_output_dir_in_the_way_stops_before_loading(tmp_path, capsys,

@@ -573,13 +573,13 @@ class TestBlackboxQueries:
     @staticmethod
     def _counter(monkeypatch):
         rows = []
-        real = synthesis._coordinator_forward
+        real = synthesis._coordinator_probs
 
         def counting(system, locals_):
             rows.append(locals_[0].shape[0])
             return real(system, locals_)
 
-        monkeypatch.setattr(synthesis, "_coordinator_forward", counting)
+        monkeypatch.setattr(synthesis, "_coordinator_probs", counting)
         return rows
 
     def test_each_gradient(self, monkeypatch):

@@ -3,7 +3,7 @@
 ``model._forward_untraced`` keeps no layer input, so each ReLU after its
 first layer writes over the array the pass just made; the caller's input is
 never written to. The blackbox synthesis asks the coordinator through
-``synthesis._coordinator_forward``, which runs the top model on that pass,
+``protocol._coordinator_probs``, which runs the top model on that pass,
 and ``_fd_local_outputs`` applies its ReLU layers in place on the (d+1)-row
 block it builds. Each is compared byte for byte with the traced pass, or
 with the expression it replaced.
@@ -71,8 +71,7 @@ class TestForwardUntraced:
         model = _models(d)[name]
         x = _inputs(d)[case]
         before = x.tobytes()
-        out, trace = _forward_untraced(model, x)
-        assert trace is None
+        out = _forward_untraced(model, x)
         assert x.tobytes() == before
         _same_bytes(out, _forward(model, x)[0])
 
@@ -83,7 +82,7 @@ class TestForwardUntraced:
         model = _models(d)[name]
         x = _inputs(d)["batch"]
         x.setflags(write=False)
-        _same_bytes(_forward_untraced(model, x)[0], _forward(model, x)[0])
+        _same_bytes(_forward_untraced(model, x), _forward(model, x)[0])
 
 
 class TestCoordinatorForward:
@@ -102,7 +101,7 @@ class TestCoordinatorForward:
                    [block] + [_forward(p.model, v[:1])[0]
                               for p, v in zip(parts[1:], views[1:])]]
         before = [out.tobytes() for out in locals_]
-        got = synthesis._coordinator_forward(system, locals_)[0]
+        got = synthesis._coordinator_probs(system, locals_)
         want = protocol._coordinator_forward(system, locals_)[0]
         _same_bytes(got, want)
         assert got.shape[0] == m
